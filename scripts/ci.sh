@@ -1,10 +1,18 @@
 #!/usr/bin/env bash
-# Local CI: build and test both configurations.
+# Local CI: build and test three configurations.
 #
 #   default   RelWithDebInfo            -> build/
 #   sanitize  Debug + ASan/UBSan        -> build-sanitize/
+#   tsan      Debug + ThreadSanitizer   -> build-tsan/ (nvmgc_tests only)
 #
-# Both run the full ctest suite, including:
+# tsan runs only the ctest entries labelled "tsan": nvmgc_device_charging
+# (per-thread device shards and the ledger's publish/settle protocol, which
+# ASan/UBSan cannot check for races) and nvmgc_task_queue (the work-stealing
+# queues and GC thread pool). The full suite does not run under TSan: its
+# collector tests are 5-15x slower there, and the lockstep throttle's
+# yield-spinning makes them slower still.
+#
+# default and sanitize run the full ctest suite, including:
 #   - nvmgc_fault_stress: randomized seeded fault plans with heap verification
 #     after every GC cycle;
 #   - nvmgc_bench_smoke: a small bench_fig05_gc_time run writing --json/--trace
@@ -58,6 +66,11 @@ for preset in default sanitize; do
   echo "=== [${preset}] test ==="
   ctest --preset "${preset}" -j "$(nproc)"
 done
+
+echo "=== [tsan] configure / build / test (label: tsan) ==="
+cmake --preset tsan
+cmake --build --preset tsan -j "$(nproc)"
+ctest --preset tsan -j "$(nproc)"
 
 echo "=== bench regression gates (default build artifacts) ==="
 python3 scripts/bench_gate.py \

@@ -20,6 +20,11 @@ constexpr uint64_t kFenceNs = 120;    // sfence after non-temporal write-back.
 // scanning setup, region bookkeeping, termination. Real G1 pauses have a
 // floor of this order regardless of how little is copied.
 constexpr uint64_t kPauseFixedOverheadNs = 40'000;
+// Lockstep clock encodings: an idle worker publishes the busy clock it last
+// checked the queues at with kIdleBit set (simulated clocks stay far below
+// 2^63 ns), or kNoBusyWorker when no other worker was busy.
+constexpr uint64_t kIdleBit = uint64_t{1} << 63;
+constexpr uint64_t kNoBusyWorker = UINT64_MAX;
 }  // namespace
 
 CopyCollector::CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool* pool)
@@ -31,7 +36,7 @@ CopyCollector::CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool*
     workers_[i].id = i;
   }
   queues_ = std::make_unique<TaskQueueSet>(options.gc_threads);
-  published_clock_ = std::make_unique<std::atomic<uint64_t>[]>(options.gc_threads);
+  published_clock_ = std::make_unique<PublishedClock[]>(options.gc_threads);
   if (options_.use_write_cache) {
     write_cache_ = std::make_unique<WriteCache>(heap_, options_);
   }
@@ -114,6 +119,10 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   const uint64_t t0 = app_clock->now_ns();
   NVMGC_CHECK(queues_->AllEmpty());
   kind_ = kind;
+  // Publish the mutators' pending ledger charges so the workers' mix
+  // estimates start from the traffic that preceded the pause.
+  heap_->heap_device()->SettleCharges();
+  heap_->dram_device()->SettleCharges();
 
   // Degraded mode: a pause that starts inside a sustained-throttle window
   // runs with asynchronous flushing and non-temporal stores disabled — mixed
@@ -195,7 +204,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   // --- Read-mostly sub-phase: parallel copy-and-traverse. ---
   idle_workers_.store(0, std::memory_order_relaxed);
   for (uint32_t i = 0; i < n; ++i) {
-    published_clock_[i].store(t0, std::memory_order_relaxed);
+    published_clock_[i].ns.store(t0, std::memory_order_relaxed);
   }
   {
     ScopedDeviceActivity heap_activity(heap_->heap_device(), n);
@@ -433,21 +442,35 @@ void CopyCollector::DrainWorker(Worker* w) {
   Address slot = kNullAddress;
   std::vector<Address> steal_buffer;
   const uint32_t n = tuning_.active_gc_threads;
-  // A worker may run at most this far (simulated) ahead of the slowest
-  // non-idle worker before parking.
+  // A worker may run at most this far (simulated) ahead of the slowest busy
+  // worker, or of an idle worker's last look at the queues, before parking.
   constexpr uint64_t kLockstepWindowNs = 100'000;
   auto throttle = [&] {
-    published_clock_[w->id].store(w->clock.now_ns(), std::memory_order_relaxed);
+    published_clock_[w->id].ns.store(w->clock.now_ns(), std::memory_order_relaxed);
     while (true) {
       uint64_t min_clock = UINT64_MAX;
       for (uint32_t i = 0; i < n; ++i) {
-        min_clock = std::min(min_clock, published_clock_[i].load(std::memory_order_relaxed));
+        const uint64_t c = published_clock_[i].ns.load(std::memory_order_relaxed);
+        if (c != kNoBusyWorker) {
+          min_clock = std::min(min_clock, c & ~kIdleBit);
+        }
       }
       if (min_clock == UINT64_MAX || w->clock.now_ns() <= min_clock + kLockstepWindowNs) {
-        return;  // Everyone else idle, or we are within the window.
+        return;  // No one else to wait for, or we are within the window.
       }
       std::this_thread::yield();  // Laggards will steal from our queue.
     }
+  };
+  // The slowest busy worker's published clock, or kNoBusyWorker.
+  auto min_busy_clock = [&] {
+    uint64_t min_clock = kNoBusyWorker;
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint64_t c = published_clock_[i].ns.load(std::memory_order_relaxed);
+      if (i != w->id && (c & kIdleBit) == 0) {
+        min_clock = std::min(min_clock, c);
+      }
+    }
+    return min_clock;
   };
   while (true) {
     while (own.Pop(&slot)) {
@@ -470,15 +493,20 @@ void CopyCollector::DrainWorker(Worker* w) {
       continue;
     }
     // Termination protocol: exit only when every worker is idle and every
-    // queue is empty; otherwise re-arm and retry stealing. Idle workers stop
-    // participating in the lockstep window (they publish "infinitely far").
-    published_clock_[w->id].store(UINT64_MAX, std::memory_order_relaxed);
+    // queue is empty; otherwise re-arm and retry stealing. An idle worker
+    // stays in the lockstep window at the slowest busy worker's clock as of
+    // its last look at the queues: busy workers may not run further ahead of
+    // a steal attempt than of a busy peer, however the host schedules the
+    // idle thread.
     idle_workers_.fetch_add(1, std::memory_order_acq_rel);
     bool done = false;
     while (true) {
+      const uint64_t busy = min_busy_clock();
       if (!queues_->AllEmpty()) {
         break;
       }
+      published_clock_[w->id].ns.store(busy == kNoBusyWorker ? busy : busy | kIdleBit,
+                                       std::memory_order_relaxed);
       if (idle_workers_.load(std::memory_order_acquire) == n) {
         done = true;
         break;
@@ -489,7 +517,7 @@ void CopyCollector::DrainWorker(Worker* w) {
       return;
     }
     idle_workers_.fetch_sub(1, std::memory_order_acq_rel);
-    published_clock_[w->id].store(w->clock.now_ns(), std::memory_order_relaxed);
+    published_clock_[w->id].ns.store(w->clock.now_ns(), std::memory_order_relaxed);
   }
 }
 

@@ -169,8 +169,12 @@ class CopyCollector {
   // that runs far ahead of the slowest active worker in *simulated* time
   // parks until the others catch up (or go idle), so work stealing and the
   // bandwidth arbiter see a faithful parallel schedule even when the host
-  // serializes the worker threads.
-  std::unique_ptr<std::atomic<uint64_t>[]> published_clock_;
+  // serializes the worker threads. One cache line per worker: each worker
+  // stores its clock after every slot while the others poll.
+  struct alignas(64) PublishedClock {
+    std::atomic<uint64_t> ns{0};
+  };
+  std::unique_ptr<PublishedClock[]> published_clock_;
   std::atomic<uint32_t> idle_workers_{0};
   uint64_t gc_epoch_ = 0;
   GcKind kind_ = GcKind::kMinor;  // Kind of the pause currently running.

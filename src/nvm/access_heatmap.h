@@ -100,7 +100,9 @@ class AccessHeatmap {
   void ExportMetrics(MetricsRegistry* metrics, const std::string& prefix) const;
 
  private:
-  struct Slot {
+  // One cache line per slot: GC workers streaming into neighbouring regions
+  // must not false-share their heat counters.
+  struct alignas(64) Slot {
     std::atomic<uint64_t> read_bytes{0};
     std::atomic<uint64_t> write_bytes{0};
     std::atomic<uint64_t> read_ops{0};

@@ -44,12 +44,14 @@ DeviceCounters MemoryDevice::tenant_counters(uint8_t tenant) const {
   if (tenant >= kMaxTenants) {
     return c;
   }
-  const TenantCounters& t = tenant_counters_[tenant];
-  c.read_bytes = t.read_bytes.load(std::memory_order_relaxed);
-  c.write_bytes = t.write_bytes.load(std::memory_order_relaxed);
-  c.nt_write_bytes = t.nt_write_bytes.load(std::memory_order_relaxed);
-  c.read_ops = t.read_ops.load(std::memory_order_relaxed);
-  c.write_ops = t.write_ops.load(std::memory_order_relaxed);
+  for (const CounterShard& shard : shards_) {
+    const TenantCounters& t = shard.tenants[tenant];
+    c.read_bytes += t.read_bytes.load(std::memory_order_relaxed);
+    c.write_bytes += t.write_bytes.load(std::memory_order_relaxed);
+    c.nt_write_bytes += t.nt_write_bytes.load(std::memory_order_relaxed);
+    c.read_ops += t.read_ops.load(std::memory_order_relaxed);
+    c.write_ops += t.write_ops.load(std::memory_order_relaxed);
+  }
   return c;
 }
 
@@ -114,19 +116,14 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
     recorder_->Charge(now, d);
   }
 
-  TenantCounters& tc = tenant_counters_[tenant];
+  TenantCounters& tc = shards_[ThisThreadDeviceShard()].tenants[tenant];
   if (d.op == AccessOp::kRead) {
-    read_bytes_.fetch_add(d.bytes, std::memory_order_relaxed);
-    read_ops_.fetch_add(1, std::memory_order_relaxed);
     tc.read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
     tc.read_ops.fetch_add(1, std::memory_order_relaxed);
   } else {
-    write_bytes_.fetch_add(d.bytes, std::memory_order_relaxed);
-    write_ops_.fetch_add(1, std::memory_order_relaxed);
     tc.write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
     tc.write_ops.fetch_add(1, std::memory_order_relaxed);
     if (d.non_temporal) {
-      nt_write_bytes_.fetch_add(d.bytes, std::memory_order_relaxed);
       tc.nt_write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
     }
   }
@@ -135,11 +132,14 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
 
 DeviceCounters MemoryDevice::counters() const {
   DeviceCounters c;
-  c.read_bytes = read_bytes_.load(std::memory_order_relaxed);
-  c.write_bytes = write_bytes_.load(std::memory_order_relaxed);
-  c.nt_write_bytes = nt_write_bytes_.load(std::memory_order_relaxed);
-  c.read_ops = read_ops_.load(std::memory_order_relaxed);
-  c.write_ops = write_ops_.load(std::memory_order_relaxed);
+  for (uint8_t t = 0; t < kMaxTenants; ++t) {
+    const DeviceCounters tc = tenant_counters(t);
+    c.read_bytes += tc.read_bytes;
+    c.write_bytes += tc.write_bytes;
+    c.nt_write_bytes += tc.nt_write_bytes;
+    c.read_ops += tc.read_ops;
+    c.write_ops += tc.write_ops;
+  }
   return c;
 }
 
@@ -176,6 +176,7 @@ std::vector<BandwidthSample> MemoryDevice::RecordedSeries() const {
 }
 
 MixState MemoryDevice::CurrentMix(uint64_t now_ns) const {
+  ledger_.Settle();
   const BandwidthLedger::Mix window = ledger_.SampleMix(now_ns);
   MixState mix;
   mix.write_fraction = window.write_fraction;

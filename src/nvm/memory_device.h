@@ -21,6 +21,7 @@
 #include "src/nvm/bandwidth_ledger.h"
 #include "src/nvm/bandwidth_model.h"
 #include "src/nvm/device_profile.h"
+#include "src/nvm/device_shard.h"
 #include "src/nvm/persist_ledger.h"
 #include "src/nvm/sim_clock.h"
 
@@ -75,9 +76,8 @@ class MemoryDevice {
   // does the cross-tenant contention term enter CostNs, so single-Vm devices
   // behave exactly as before.
   bool multi_tenant() const { return multi_tenant_.load(std::memory_order_relaxed); }
-  // Lifetime traffic attributed to `tenant`. The regression invariant a
-  // shared device must keep: summing tenant_counters over all tenants equals
-  // counters().
+  // Lifetime traffic attributed to `tenant`. Summing tenant_counters over all
+  // tenants equals counters() by construction (both sum the same shards).
   DeviceCounters tenant_counters(uint8_t tenant) const;
 
   // Fault injection: attach a (non-owned) injector whose plan perturbs every
@@ -106,7 +106,12 @@ class MemoryDevice {
   void StopRecording();
   std::vector<BandwidthSample> RecordedSeries() const;
 
-  // Instantaneous model outputs (for tests and monitors).
+  // Publishes every thread's pending ledger charges (BandwidthLedger::Settle).
+  // ScopedDeviceActivity settles when a parallel phase ends.
+  void SettleCharges() const { ledger_.Settle(); }
+
+  // Instantaneous model outputs (for tests and monitors). Settles first, so
+  // the mix covers every thread's charges.
   MixState CurrentMix(uint64_t now_ns) const;
   double CurrentTotalBandwidthMbps(uint64_t now_ns) const;
 
@@ -152,6 +157,10 @@ class MemoryDevice {
     std::atomic<uint64_t> read_ops{0};
     std::atomic<uint64_t> write_ops{0};
   };
+  // One thread shard's lifetime traffic, split by tenant (device_shard.h).
+  struct alignas(kShardAlign) CounterShard {
+    TenantCounters tenants[kMaxTenants];
+  };
 
   BandwidthModel model_;
   BandwidthLedger ledger_;
@@ -159,29 +168,28 @@ class MemoryDevice {
   PersistOrderingLedger persist_;
 
   std::atomic<uint32_t> active_threads_{0};
-  std::atomic<uint64_t> read_bytes_{0};
-  std::atomic<uint64_t> write_bytes_{0};
-  std::atomic<uint64_t> nt_write_bytes_{0};
-  std::atomic<uint64_t> read_ops_{0};
-  std::atomic<uint64_t> write_ops_{0};
 
   TenantRange tenant_ranges_[kMaxTenantRanges];
   std::atomic<uint32_t> tenant_range_count_{0};
   std::atomic<bool> multi_tenant_{false};
-  TenantCounters tenant_counters_[kMaxTenants];
+  CounterShard shards_[kDeviceShards];
 
   std::atomic<bool> recording_{false};
   std::unique_ptr<BandwidthRecorder> recorder_;
   std::atomic<FaultInjector*> injector_{nullptr};
 };
 
-// Declares `n` active threads on `device` for the current scope.
+// Declares `n` active threads on `device` for the current scope (one
+// parallel phase), and settles the device's pending charges when it ends.
 class ScopedDeviceActivity {
  public:
   ScopedDeviceActivity(MemoryDevice* device, uint32_t n) : device_(device), n_(n) {
     device_->AddActiveThreads(n_);
   }
-  ~ScopedDeviceActivity() { device_->RemoveActiveThreads(n_); }
+  ~ScopedDeviceActivity() {
+    device_->SettleCharges();
+    device_->RemoveActiveThreads(n_);
+  }
 
   ScopedDeviceActivity(const ScopedDeviceActivity&) = delete;
   ScopedDeviceActivity& operator=(const ScopedDeviceActivity&) = delete;

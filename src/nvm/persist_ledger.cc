@@ -112,6 +112,11 @@ void PersistBatch::FlushRange(uint64_t address, uint64_t bytes, SimClock* clock)
   const uint64_t last = (end - 1) / 64;
   uint64_t flushed = 0;
   for (uint64_t line = first; line <= last; ++line) {
+    // Most scanned lines are clean: skip the locked CAS unless the line reads
+    // dirty. The CAS still decides, so racing writers change nothing.
+    if (ledger_->lines_[line].load(std::memory_order_relaxed) != PersistOrderingLedger::kDirty) {
+      continue;
+    }
     uint8_t expected = PersistOrderingLedger::kDirty;
     if (ledger_->lines_[line].compare_exchange_strong(expected,
                                                       PersistOrderingLedger::kFlushed,
