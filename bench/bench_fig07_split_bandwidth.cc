@@ -75,7 +75,7 @@ void RunCase(const std::string& app, GcVariant variant) {
 
 int Main(BenchContext&) {
   std::printf("=== Figure 7: split NVM bandwidth during GC ===\n\n");
-  for (const std::string& app : {"page-rank", "naive-bayes", "akka-uct"}) {
+  for (const char* app : {"page-rank", "naive-bayes", "akka-uct"}) {
     RunCase(app, GcVariant::kAll);
     RunCase(app, GcVariant::kVanilla);
   }

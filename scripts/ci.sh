@@ -54,6 +54,10 @@
 #     throughput-retention bars itself), with per-tenant Chrome-trace
 #     processes (--require-tenant-tracks), tenant-tagged incident dumps in
 #     <build>/artifacts/fr-fleet/, and BENCH_baseline_fleet.json.
+#
+# After the gates, the repository benchmark's harness self-tests run
+# (perfbench/test_*.py: percentile rule, rate search, failure accounting,
+# metric lists against BENCHMARK.json); they need no build.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -84,6 +88,9 @@ python3 scripts/bench_gate.py \
 echo "=== flight-recorder incident validation ==="
 python3 scripts/fr_analyze.py build/artifacts/fr --validate
 python3 scripts/fr_analyze.py build/artifacts/fr-fleet --validate
+
+echo "=== perfbench harness self-tests ==="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "=== retained bench artifacts ==="
 ls -l build*/artifacts/ 2>/dev/null || true

@@ -12,8 +12,7 @@ FleetOptions::FleetOptions() : device(MakeOptaneProfile()) {}
 FleetManager::FleetManager(const FleetOptions& options)
     : options_(options),
       device_(std::make_unique<MemoryDevice>(options.device)),
-      arbiter_(options.arbiter),
-      pause_scheduler_(options.pause_scheduler) {}
+      arbiter_(options.arbiter) {}
 
 FleetManager::~FleetManager() {
   // Tenant Vms hold raw pointers to this manager (GcCoordinator) and to the

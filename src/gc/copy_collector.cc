@@ -1,7 +1,6 @@
 #include "src/gc/copy_collector.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -20,6 +19,8 @@ constexpr uint64_t kFenceNs = 120;    // sfence after non-temporal write-back.
 // scanning setup, region bookkeeping, termination. Real G1 pauses have a
 // floor of this order regardless of how little is copied.
 constexpr uint64_t kPauseFixedOverheadNs = 40'000;
+// Header-map linear-probe window (Algorithm 1's SEARCH_BOUND).
+constexpr uint32_t kHeaderMapSearchBound = 16;
 // Lockstep clock encodings: an idle worker publishes the busy clock it last
 // checked the queues at with kIdleBit set (simulated clocks stay far below
 // 2^63 ns), or kNoBusyWorker when no other worker was busy.
@@ -43,18 +44,16 @@ CopyCollector::CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool*
   if (options_.use_header_map) {
     const size_t bytes = options_.header_map_bytes != 0 ? options_.header_map_bytes
                                                         : heap_->heap_arena_bytes() / 32;
-    header_map_ = std::make_unique<HeaderMap>(bytes, options_.header_map_search_bound,
+    header_map_ = std::make_unique<HeaderMap>(bytes, kHeaderMapSearchBound,
                                               heap_->dram_device());
   }
-  if (options_.durability.enabled) {
-    commit_layout_ = ComputeCommitLayout(heap_->config(), options_.durability);
+  if (options_.durability) {
+    commit_layout_ = ComputeCommitLayout(heap_->config());
     NVMGC_CHECK_MSG(heap_->commit_area_bytes() >= commit_layout_.total_bytes(),
                     "durability enabled but the heap's commit area is too small: the Vm "
                     "must size HeapConfig::commit_area_bytes from ComputeCommitLayout");
   }
 }
-
-bool CopyCollector::StageableThroughCache(size_t) const { return true; }
 
 uint32_t CopyCollector::TenureThreshold() const {
   if (options_.generational.enabled) {
@@ -233,20 +232,6 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   for (uint32_t i = 0; i < n; ++i) {
     read_end = std::max(read_end, workers_[i].clock.now_ns());
   }
-  if (std::getenv("NVMGC_GC_DEBUG") != nullptr) {
-    uint64_t sum = 0;
-    uint64_t max_objs = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      sum += workers_[i].clock.now_ns() - t0;
-      max_objs = std::max(max_objs, workers_[i].local.objects_copied);
-    }
-    std::fprintf(stderr,
-                 "[gc %llu] read phase max=%.2fms avg=%.2fms max_worker_objs=%llu\n",
-                 static_cast<unsigned long long>(gc_epoch_),
-                 static_cast<double>(read_end - t0) / 1e6,
-                 static_cast<double>(sum) / n / 1e6,
-                 static_cast<unsigned long long>(max_objs));
-  }
 
   // A throttle window that opened mid-pause still degrades the write-back:
   // whatever was not already flushed asynchronously goes back synchronously
@@ -310,7 +295,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   // Durability: seal this pause's commit record (flush new live regions,
   // redo-log in-place updates, durable-last seal, release the quarantine).
   GcCycleStats persist_stats;
-  if (options_.durability.enabled) {
+  if (options_.durability) {
     PersistEpilogue(roots, &pause_end, &persist_stats);
   }
 
@@ -401,7 +386,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
       tracer_->EmitInstant("gc.degraded", "gc", t0);
     }
     tracer_->Emit("gc.pause", "gc", t0, pause_end);
-    if (options_.durability.enabled) {
+    if (options_.durability) {
       // Per-pause persist cost counter tracks (Perfetto; see EXPERIMENTS.md).
       tracer_->EmitCounter("persist.flush_lines", "persist", pause_end,
                            static_cast<double>(cycle.persist_flush_lines));
@@ -712,8 +697,12 @@ void CopyCollector::AllocateTarget(Worker* w, size_t size, bool promote, CopyTar
   // (their twins are NVM old regions — see WriteCache's twin_type_).
   const bool generational = options_.generational.enabled;
   const bool cache_eligible = generational ? promote : !promote;
+  // PS copies objects larger than a LAB fraction outside its buffers, which
+  // the cache cannot absorb (Section 4.4).
+  const bool stageable = options_.collector != CollectorKind::kParallelScavenge ||
+                         size <= options_.lab_bytes / 4;
   if (cache_eligible && write_cache_ != nullptr) {
-    if (StageableThroughCache(size)) {
+    if (stageable) {
       WriteCache::Allocation a;
       if (write_cache_->Allocate(&w->cache_state, size, &a, gc_epoch_, &w->clock, &w->local)) {
         out->physical = a.physical;
@@ -833,7 +822,8 @@ void CopyCollector::PersistEpilogue(const std::vector<Address*>& roots, uint64_t
   }
   const size_t redo_bytes = redo_offsets.size() * sizeof(RedoEntry);
   NVMGC_CHECK_MSG(redo_bytes <= commit_layout_.redo_slot_bytes,
-                  "durability redo log overflow: raise DurabilityOptions::redo_log_bytes");
+                  "durability redo log overflow: the redo slot is max(heap/32, 256 KiB); "
+                  "raise HeapConfig::heap_regions or region_bytes to enlarge it");
   std::vector<RedoEntry> redo(redo_offsets.size());
   const Address redo_base = area + commit_layout_.redo_offset(gc_epoch_);
   if (!redo.empty()) {
@@ -886,7 +876,9 @@ void CopyCollector::PersistEpilogue(const std::vector<Address*>& roots, uint64_t
                                entries.size() * sizeof(CommitRegionEntry) +
                                root_offsets.size() * sizeof(uint64_t);
   NVMGC_CHECK_MSG(payload_bytes + sizeof(uint64_t) <= commit_layout_.record_slot_bytes,
-                  "durability commit record overflow: raise DurabilityOptions::commit_record_bytes");
+                  "durability commit record overflow: the record slot holds one root per "
+                  "128 heap bytes; raise HeapConfig::heap_regions or region_bytes to "
+                  "enlarge it");
   std::vector<uint8_t> payload(payload_bytes);
   uint8_t* cursor = payload.data() + sizeof(CommitHeader);
   std::memcpy(cursor, entries.data(), entries.size() * sizeof(CommitRegionEntry));

@@ -1,5 +1,7 @@
-// Parallel stop-the-world copying young collector (the engine shared by the
-// G1-style and Parallel-Scavenge-style collectors).
+// Parallel stop-the-world copying young collector. GcOptions::collector picks
+// the G1-style or the Parallel-Scavenge-style flavor; they differ only in
+// which copies the write cache may stage (PS copies objects beyond a LAB
+// fraction directly, Section 4.4) and in their preset defaults.
 //
 // The collection set is every young region (eden + survivors of the previous
 // cycle). Roots are the mutator handles plus each young region's remembered
@@ -44,7 +46,6 @@ namespace nvmgc {
 class CopyCollector {
  public:
   CopyCollector(Heap* heap, const GcOptions& options, GcThreadPool* pool);
-  virtual ~CopyCollector() = default;
 
   CopyCollector(const CopyCollector&) = delete;
   CopyCollector& operator=(const CopyCollector&) = delete;
@@ -72,7 +73,8 @@ class CopyCollector {
   const GcTuning& tuning() const { return tuning_; }
   HeaderMap* header_map() { return header_map_.get(); }
   WriteCache* write_cache() { return write_cache_.get(); }
-  virtual const char* name() const { return "copy"; }
+  // "g1" or "ps": the configured CollectorKind.
+  const char* name() const { return CollectorKindName(options_.collector); }
 
   // Attaches the tracer that receives pause / phase / flush / steal events
   // (forwarded to the write cache and header map). The tracer must outlive
@@ -98,12 +100,6 @@ class CopyCollector {
   // record sealed (the seal fence completed). Crash sweeps use this to
   // predict which epoch recovery must land on for a given power-cut instant.
   const std::vector<uint64_t>& commit_instants() const { return commit_instants_; }
-
- protected:
-  // Policy hook: may this object be staged through the write cache? PS copies
-  // objects larger than a LAB fraction outside its buffers, which the cache
-  // cannot absorb (Section 4.4).
-  virtual bool StageableThroughCache(size_t size) const;
 
  private:
   struct Worker {
@@ -185,30 +181,6 @@ class CopyCollector {
   uint64_t last_hm_hits_ = 0;
   uint64_t last_hm_fault_probes_ = 0;
   GcStats stats_;
-};
-
-// Garbage-First-style configuration: regional survivor targets, software
-// prefetching on by default.
-class G1Collector : public CopyCollector {
- public:
-  G1Collector(Heap* heap, const GcOptions& options, GcThreadPool* pool)
-      : CopyCollector(heap, options, pool) {}
-  const char* name() const override { return "g1"; }
-};
-
-// Parallel-Scavenge-style configuration: objects beyond the LAB fraction are
-// copied directly and bypass the write cache.
-class PsCollector : public CopyCollector {
- public:
-  PsCollector(Heap* heap, const GcOptions& options, GcThreadPool* pool)
-      : CopyCollector(heap, options, pool), lab_bytes_(options.lab_bytes) {}
-  const char* name() const override { return "ps"; }
-
- protected:
-  bool StageableThroughCache(size_t size) const override { return size <= lab_bytes_ / 4; }
-
- private:
-  size_t lab_bytes_;
 };
 
 }  // namespace nvmgc

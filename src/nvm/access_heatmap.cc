@@ -6,12 +6,6 @@
 
 namespace nvmgc {
 
-void AccessHeatmap::Configure(uint64_t base, uint64_t region_bytes, uint32_t regions) {
-  arenas_.clear();
-  slots_.clear();
-  AddArena(base, region_bytes, regions);
-}
-
 uint32_t AccessHeatmap::AddArena(uint64_t base, uint64_t region_bytes, uint32_t regions) {
   Arena arena;
   arena.base = base;

@@ -78,11 +78,9 @@ class AccessHeatmap {
   AccessHeatmap(const AccessHeatmap&) = delete;
   AccessHeatmap& operator=(const AccessHeatmap&) = delete;
 
-  // Drops every arena, then covers [base, base + region_bytes * regions) with
-  // one slot per region (single-arena compatibility entry point).
-  void Configure(uint64_t base, uint64_t region_bytes, uint32_t regions);
-  // Appends an arena without touching existing ones; returns its first slot
-  // index. Used by Heaps binding onto a shared device.
+  // Appends an arena covering [base, base + region_bytes * regions) with one
+  // slot per region, without touching existing ones; returns its first slot
+  // index. Every Heap binds its arena this way, on a private or shared device.
   uint32_t AddArena(uint64_t base, uint64_t region_bytes, uint32_t regions);
   bool configured() const { return !arenas_.empty(); }
   uint32_t arena_count() const { return static_cast<uint32_t>(arenas_.size()); }

@@ -120,7 +120,7 @@ class MemoryDevice {
   const BandwidthLedger& ledger() const { return ledger_; }
 
   // Per-region access heatmap. Unconfigured (and thus free) until the heap
-  // binds its arena via heatmap().Configure(); see src/nvm/access_heatmap.h.
+  // binds its arena via heatmap().AddArena(); see src/nvm/access_heatmap.h.
   AccessHeatmap& heatmap() { return heatmap_; }
   const AccessHeatmap& heatmap() const { return heatmap_; }
 

@@ -46,9 +46,13 @@ struct TraceEvent {
 
 class GcTracer {
  public:
+  // Events retained per logical thread unless the constructor is told
+  // otherwise (every Vm tracer uses this depth).
+  static constexpr size_t kDefaultRingCapacity = 4096;
+
   // `gc_threads` logical worker tids [0, gc_threads); the control thread uses
   // tid == gc_threads. `ring_capacity` is events retained per logical thread.
-  explicit GcTracer(uint32_t gc_threads, size_t ring_capacity = 4096);
+  explicit GcTracer(uint32_t gc_threads, size_t ring_capacity = kDefaultRingCapacity);
 
   GcTracer(const GcTracer&) = delete;
   GcTracer& operator=(const GcTracer&) = delete;

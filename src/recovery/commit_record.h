@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/gc/gc_options.h"
 #include "src/heap/heap.h"
 
 namespace nvmgc {
@@ -87,9 +86,10 @@ struct CommitLayout {
   }
 };
 
-// Derives the commit-area geometry from the heap shape and any explicit
-// DurabilityOptions overrides (0 = derive).
-CommitLayout ComputeCommitLayout(const HeapConfig& heap, const DurabilityOptions& durability);
+// Derives the commit-area geometry from the heap shape: the record slot holds
+// the region-table snapshot plus one root offset per 128 heap bytes (at least
+// 8192), the redo slot max(heap/32, 256 KiB), both page aligned.
+CommitLayout ComputeCommitLayout(const HeapConfig& heap);
 
 uint64_t Fnv1a(const uint8_t* data, size_t bytes);
 

@@ -41,13 +41,13 @@ Vm::Vm(const VmOptions& options) : options_(options) {
     h.eden_regions = young_regions - survivor;
     h.dram_cache_regions += young_regions;
   }
-  if (options_.gc.durability.enabled) {
+  if (options_.gc.durability) {
     NVMGC_CHECK_MSG(options_.heap.heap_device == DeviceKind::kNvm,
                     "durability requires NVM-backed tenured regions: set "
                     "HeapConfig::heap_device to DeviceKind::kNvm (a DRAM heap has no "
                     "persistence to model)");
     // Reserve the commit area past the regions before the arena is mapped.
-    const CommitLayout layout = ComputeCommitLayout(options_.heap, options_.gc.durability);
+    const CommitLayout layout = ComputeCommitLayout(options_.heap);
     options_.heap.commit_area_bytes =
         std::max(options_.heap.commit_area_bytes, layout.total_bytes());
   }
@@ -56,7 +56,7 @@ Vm::Vm(const VmOptions& options) : options_(options) {
                     "shared heap device kind does not match HeapConfig::heap_device");
     NVMGC_CHECK_MSG(options_.tenant_id < MemoryDevice::kMaxTenants,
                     "tenant_id out of range for a shared heap device");
-    NVMGC_CHECK_MSG(!options_.gc.durability.enabled,
+    NVMGC_CHECK_MSG(!options_.gc.durability,
                     "durability mode is single-tenant: the persist ledger tracks one arena, "
                     "so a Vm on a shared (fleet) heap device cannot enable it");
     heap_device_ = options_.shared_heap_device;
@@ -75,29 +75,19 @@ Vm::Vm(const VmOptions& options) : options_(options) {
         static_cast<uint8_t>(options_.tenant_id), heap_->heap_base(),
         heap_->heap_arena_bytes() + heap_->commit_area_bytes());
   }
-  if (options_.gc.durability.enabled) {
+  if (options_.gc.durability) {
     // Track persist state for the whole durable range: heap regions plus the
     // commit area (records and redo logs obey the same flush/fence rules).
     const DeviceProfile& profile = heap_device_->profile();
-    const DurabilityOptions& d = options_.gc.durability;
     heap_device_->persist().Configure(
         heap_->heap_base(), heap_->heap_arena_bytes() + heap_->commit_area_bytes(),
-        d.flush_line_cost_ns >= 0 ? static_cast<uint64_t>(d.flush_line_cost_ns)
-                                  : profile.flush_line_ns,
-        d.fence_cost_ns >= 0 ? static_cast<uint64_t>(d.fence_cost_ns) : profile.fence_ns);
+        profile.flush_line_ns, profile.fence_ns);
     heap_->set_durable_quarantine(true);
   }
   pool_ = std::make_unique<GcThreadPool>(options.gc.gc_threads);
-  tracer_ = std::make_unique<GcTracer>(options.gc.gc_threads, options.trace_ring_capacity);
+  tracer_ = std::make_unique<GcTracer>(options.gc.gc_threads);
   tracer_->set_enabled(options.trace_gc);
-  switch (options.gc.collector) {
-    case CollectorKind::kG1:
-      collector_ = std::make_unique<G1Collector>(heap_.get(), options.gc, pool_.get());
-      break;
-    case CollectorKind::kParallelScavenge:
-      collector_ = std::make_unique<PsCollector>(heap_.get(), options.gc, pool_.get());
-      break;
-  }
+  collector_ = std::make_unique<CopyCollector>(heap_.get(), options.gc, pool_.get());
   collector_->set_tracer(tracer_.get());
   timeline_ = std::make_unique<DeviceTimeline>(heap_device_);
   collector_->set_timeline(timeline_.get());
@@ -112,7 +102,7 @@ Vm::Vm(const VmOptions& options) : options_(options) {
   }
   flight_recorder_ = std::make_unique<FlightRecorder>(options_.flight_recorder);
   flight_recorder_->set_site_profiler(site_profiler_.get());
-  if (options.gc.adaptive.enabled) {
+  if (options.gc.adaptive) {
     const bool gen = options_.gc.generational.enabled;
     policy_ = std::make_unique<PolicyEngine>(
         options_.gc, heap_->heap_arena_bytes(), heap_->cache_arena_bytes(),

@@ -103,7 +103,7 @@ TEST(AccessHeatmapTest, TracksPerRegionBytesAndDiscontiguity) {
 
   const uint64_t base = 0x10000;
   const uint64_t region_bytes = 4096;
-  heatmap.Configure(base, region_bytes, /*regions=*/4);
+  heatmap.AddArena(base, region_bytes, /*regions=*/4);
   ASSERT_TRUE(heatmap.configured());
   EXPECT_EQ(heatmap.regions(), 4u);
 
@@ -143,7 +143,7 @@ TEST(AccessHeatmapTest, TracksPerRegionBytesAndDiscontiguity) {
 
 TEST(AccessHeatmapTest, ExportMetricsPublishesAggregateGauges) {
   AccessHeatmap heatmap;
-  heatmap.Configure(0x1000, 4096, 2);
+  heatmap.AddArena(0x1000, 4096, 2);
   heatmap.Charge(SequentialWrite(0x1000, 64));
   heatmap.Charge(SequentialWrite(0x1000 + 256, 64));  // Jumps: discontiguous.
   MetricsRegistry metrics;

@@ -312,7 +312,7 @@ TEST(BandwidthArbiterTest, StatsAccumulate) {
 // --- FleetPauseScheduler ---
 
 TEST(PauseSchedulerTest, MajorDefersOutOfCoTenantDrain) {
-  FleetPauseScheduler sched(PauseSchedulerOptions{});
+  FleetPauseScheduler sched;
   // Tenant 0's pause [1.0ms, 1.5ms) ended with a 200us write-back drain:
   // drain window [1.3ms, 1.5ms).
   sched.OnPauseFinished(0, 1'000'000, 1'500'000, 200'000);
@@ -327,23 +327,22 @@ TEST(PauseSchedulerTest, MajorDefersOutOfCoTenantDrain) {
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 1'500'000), 0u);
   // A tenant never defers for its own drain window.
   EXPECT_EQ(sched.DeferNs(0, GcKind::kMajor, 1'350'000), 0u);
-  // Minor pauses are not deferred by default.
+  // Minor pauses are never deferred.
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMinor, 1'350'000), 0u);
   EXPECT_EQ(sched.deferrals(), 2u);
   EXPECT_EQ(sched.total_defer_ns(), 400'000u);
 }
 
 TEST(PauseSchedulerTest, DeferralIsBounded) {
-  FleetPauseScheduler sched(PauseSchedulerOptions{});
+  FleetPauseScheduler sched;
   sched.OnPauseFinished(0, 10'000'000, 20'000'000, 9'000'000);
   // 8.5 ms of drain remain, but deferral is capped: the requesting tenant's
   // heap is near exhaustion, so the pause is delayed, never denied.
-  EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 11'500'000),
-            PauseSchedulerOptions{}.max_defer_ns);
+  EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 11'500'000), FleetPauseScheduler::kMaxDeferNs);
 }
 
 TEST(PauseSchedulerTest, ZeroWritebackLeavesNoWindow) {
-  FleetPauseScheduler sched(PauseSchedulerOptions{});
+  FleetPauseScheduler sched;
   sched.OnPauseFinished(0, 1'000'000, 1'500'000, 0);
   EXPECT_EQ(sched.DeferNs(1, GcKind::kMajor, 1'400'000), 0u);
 }
@@ -352,7 +351,7 @@ TEST(PauseSchedulerTest, ZeroWritebackLeavesNoWindow) {
 
 TEST(AccessHeatmapTest, MultipleArenasGetDisjointSlots) {
   AccessHeatmap h;
-  h.Configure(0x1000, 0x100, 4);
+  EXPECT_EQ(h.AddArena(0x1000, 0x100, 4), 0u);
   EXPECT_EQ(h.arena_count(), 1u);
   EXPECT_EQ(h.AddArena(0x10000, 0x100, 4), 4u);  // First slot of arena 2.
   EXPECT_EQ(h.arena_count(), 2u);
@@ -370,10 +369,11 @@ TEST(AccessHeatmapTest, MultipleArenasGetDisjointSlots) {
   }
   EXPECT_EQ(total, 128u);
 
-  // Configure drops every arena and starts over.
-  h.Configure(0x1000, 0x100, 2);
-  EXPECT_EQ(h.arena_count(), 1u);
-  EXPECT_EQ(h.regions(), 2u);
+  // A fresh heatmap numbers its first arena's slots from 0.
+  AccessHeatmap fresh;
+  EXPECT_EQ(fresh.AddArena(0x1000, 0x100, 2), 0u);
+  EXPECT_EQ(fresh.arena_count(), 1u);
+  EXPECT_EQ(fresh.regions(), 2u);
 }
 
 // --- MetricsRegistry::MergeFrom (satellite: tenant metric prefix) ---
@@ -663,7 +663,7 @@ TEST(FleetPolicyTest, SustainedThrottleShedsGcThreads) {
   const GcOptions options = AdaptiveOptions(CollectorKind::kG1, 8);
   PolicyEngine engine(options, 64 * 1024 * 1024, 24 * 1024 * 1024, MakeOptaneProfile());
   uint64_t pause = 1;
-  for (uint32_t i = 0; i < options.adaptive.warmup_pauses; ++i, ++pause) {
+  for (uint32_t i = 0; i < PolicyEngine::kWarmupPauses; ++i, ++pause) {
     ASSERT_EQ(engine.OnPauseEnd(ThrottledPauseSignals(pause, engine, 0, 1'000'000)), 0u);
   }
   const uint32_t before = engine.tuning().active_gc_threads;

@@ -132,6 +132,9 @@ class GcIntegrationTest : public ::testing::TestWithParam<GcConfig> {};
 
 TEST_P(GcIntegrationTest, LiveChainSurvivesExplicitGc) {
   Vm vm(MakeOptions(GetParam()));
+  // GcReport labels every run with the collector's name.
+  EXPECT_STREQ(vm.collector().name(),
+               GetParam().collector == CollectorKind::kG1 ? "g1" : "ps");
   GraphWorkload g(&vm);
   // Build a 200-node chain, rooted at the head.
   Address head = g.NewNode();
