@@ -118,7 +118,7 @@ ConfigResult RunPhases(BenchContext& ctx, const BenchConfig& config, uint64_t se
     record.result.gc_ns = r.total_gc_ns;
     record.result.app_ns = r.total_ns - r.total_gc_ns;
     record.result.gc_count = r.gc_count;
-    record.pauses = vm.metrics().pauses();
+    record.pauses = vm.gc_stats().cycles();
     record.counters = vm.metrics().counters();
     record.gauges = vm.metrics().gauges();
     record.histograms = vm.metrics().Summaries();

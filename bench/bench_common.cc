@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <utility>
 
 #include "bench/bench_runner.h"
@@ -42,8 +41,8 @@ std::string GcOptionsTag(const GcOptions& gc) {
   return tag.empty() ? "vanilla" : tag;
 }
 
-double g_scale = -1.0;  // <0: uninitialized, read env on first use.
-int g_reps = 0;         // 0: uninitialized.
+double g_scale = 1.0;  // --scale.
+int g_reps = 2;         // --repeat.
 
 // Label → filesystem-safe subdirectory name for incident dumps ("/" and
 // anything else exotic becomes "_").
@@ -132,25 +131,11 @@ GcOptions MakeGcOptions(GcVariant variant, uint32_t threads, CollectorKind colle
   return VanillaOptions(collector, threads);
 }
 
-double BenchScale() {
-  if (g_scale < 0.0) {
-    const char* env = std::getenv("NVMGC_BENCH_SCALE");
-    const double v = env != nullptr ? std::atof(env) : 1.0;
-    g_scale = v > 0.0 ? v : 1.0;
-  }
-  return g_scale;
-}
+double BenchScale() { return g_scale; }
 
 void SetBenchScale(double scale) { g_scale = scale > 0.0 ? scale : 1.0; }
 
-int BenchRepetitions() {
-  if (g_reps == 0) {
-    const char* env = std::getenv("NVMGC_BENCH_REPS");
-    const int v = env != nullptr ? std::atoi(env) : 2;
-    g_reps = v >= 1 ? v : 1;
-  }
-  return g_reps;
-}
+int BenchRepetitions() { return g_reps; }
 
 void SetBenchRepetitions(int reps) { g_reps = reps >= 1 ? reps : 1; }
 
@@ -184,7 +169,7 @@ WorkloadResult RunSingle(const WorkloadProfile& profile, const HeapConfig& heap,
                  CollectorKindName(gc.collector) + "/t" + std::to_string(gc.gc_threads);
   ApplyFlightRecorder(*ctx, record.label, &options);
   WorkloadResult result = RunWorkload(ScaledProfile(profile), options, [&](Vm& vm) {
-    record.pauses = vm.metrics().pauses();
+    record.pauses = vm.gc_stats().cycles();
     record.counters = vm.metrics().counters();
     record.gauges = vm.metrics().gauges();
     record.histograms = vm.metrics().Summaries();
@@ -238,7 +223,7 @@ WorkloadResult RunOnce(const WorkloadProfile& profile, DeviceKind device, GcVari
       options.trace_gc = ctx->tracing();
       ApplyFlightRecorder(*ctx, record.label, &options);
       r = RunWorkload(ScaledProfile(p), options, [&](Vm& vm) {
-        record.pauses = vm.metrics().pauses();
+        record.pauses = vm.gc_stats().cycles();
         record.counters = vm.metrics().counters();
         record.gauges = vm.metrics().gauges();
         record.histograms = vm.metrics().Summaries();

@@ -2,7 +2,7 @@
 //
 // RunOnce / RunSingle consult the active BenchContext (bench_runner.h): when
 // --json / --trace are set they run one observed repetition that harvests
-// per-pause metric snapshots and GC phase traces, and record every data point
+// per-pause GC records and GC phase traces, and record every data point
 // for the machine-readable artifact writers.
 
 #ifndef NVMGC_BENCH_BENCH_COMMON_H_
@@ -50,11 +50,11 @@ WorkloadResult RunOnce(const WorkloadProfile& profile, DeviceKind device, GcVari
 WorkloadResult RunSingle(const WorkloadProfile& profile, const HeapConfig& heap,
                          const GcOptions& gc);
 
-// Repetitions per data point: --repeat flag > NVMGC_BENCH_REPS env > 2.
+// Repetitions per data point: the --repeat flag, default 2.
 int BenchRepetitions();
 void SetBenchRepetitions(int reps);
 
-// Allocation-volume scale: --scale flag > NVMGC_BENCH_SCALE env > 1.0.
+// Allocation-volume scale: the --scale flag, default 1.0.
 double BenchScale();
 void SetBenchScale(double scale);
 

@@ -78,7 +78,7 @@ DurabilityRunResult RunConfig(BenchContext& ctx, const WorkloadProfile& profile,
       record.result.gc_ns = vm.gc_time_ns();
       record.result.app_ns = vm.now_ns() - vm.gc_time_ns();
       record.result.gc_count = vm.gc_count();
-      record.pauses = vm.metrics().pauses();
+      record.pauses = vm.gc_stats().cycles();
       record.counters = vm.metrics().counters();
       record.gauges = vm.metrics().gauges();
       record.histograms = vm.metrics().Summaries();

@@ -61,7 +61,7 @@ Curve RunCurve(BenchContext& ctx, GcVariant variant, uint32_t threads,
       record.result.gc_count = vm.gc_count();
       AddPhaseExtras(&record, "write", curve.writes.back());
       AddPhaseExtras(&record, "read", curve.reads.back());
-      record.pauses = vm.metrics().pauses();
+      record.pauses = vm.gc_stats().cycles();
       record.counters = vm.metrics().counters();
       record.gauges = vm.metrics().gauges();
       record.histograms = vm.metrics().Summaries();

@@ -7,8 +7,7 @@
 // scaling to 56 for most applications.
 //
 // Full sweep is 26 apps x 7 thread counts x 3 variants; to keep the default
-// run short it executes one repetition per point (set NVMGC_BENCH_REPS to
-// average more).
+// run short it executes one unaveraged run per point (RunSingle).
 
 #include <cstdio>
 #include <cstdlib>

@@ -183,7 +183,7 @@ FleetPoint RunFleet(BenchContext& ctx, bool coordinated, uint32_t threads) {
     }
 
     if (ctx.observing()) {
-      r.pauses = vm.metrics().pauses();
+      r.pauses = vm.gc_stats().cycles();
       r.counters = vm.metrics().counters();
       r.gauges = vm.metrics().gauges();
       r.histograms = vm.metrics().Summaries();

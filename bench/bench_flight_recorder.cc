@@ -65,7 +65,7 @@ Point RunPoint(BenchContext& ctx, const WorkloadProfile& profile, uint32_t threa
   Point point;
   const auto wall_start = std::chrono::steady_clock::now();
   point.result = RunWorkload(ScaledProfile(profile), options, [&](Vm& vm) {
-    record.pauses = vm.metrics().pauses();
+    record.pauses = vm.gc_stats().cycles();
     record.counters = vm.metrics().counters();
     record.gauges = vm.metrics().gauges();
     record.histograms = vm.metrics().Summaries();

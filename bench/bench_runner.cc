@@ -185,8 +185,8 @@ void PrintUsage(const char* name) {
       "  --json=PATH     write machine-readable results (nvmgc.bench.v2)\n"
       "  --trace=PATH    write a Chrome-trace / Perfetto JSON timeline\n"
       "  --timeline      embed per-pause NVM bandwidth samples in --json\n"
-      "  --repeat=N      repetitions per data point (default $NVMGC_BENCH_REPS or 2)\n"
-      "  --scale=F       allocation-volume scale (default $NVMGC_BENCH_SCALE or 1.0)\n"
+      "  --repeat=N      repetitions per data point (default 2)\n"
+      "  --scale=F       allocation-volume scale (default 1.0)\n"
       "  --flight-record=DIR  write flight-recorder incident dumps under DIR\n"
       "  --fr-threshold-ns=N  absolute pause threshold for the anomaly trigger\n",
       name);
@@ -263,19 +263,27 @@ bool BenchContext::WriteJson(const std::string& bench_name) const {
       AppendTimeline(&out, run.timeline);
     }
     out.append(",\"pauses\":[");
-    bool first_pause = true;
-    for (const PauseSnapshot& pause : run.pauses) {
-      if (!first_pause) {
+    for (size_t id = 0; id < run.pauses.size(); ++id) {
+      const GcCycleStats& pause = run.pauses[id];
+      if (id > 0) {
         out.push_back(',');
       }
-      first_pause = false;
       out.append("\n{\"id\":");
-      AppendU64(&out, pause.id);
+      AppendU64(&out, id);
       out.append(",\"start_ns\":");
       AppendU64(&out, pause.start_ns);
-      out.append(",\"values\":");
-      AppendU64Map(&out, pause.values);
-      out.push_back('}');
+      out.append(",\"values\":{");
+      bool first_value = true;
+      for (const CycleField& f : kCycleFields) {
+        if (!first_value) {
+          out.push_back(',');
+        }
+        first_value = false;
+        AppendString(&out, f.name);
+        out.push_back(':');
+        AppendU64(&out, pause.*f.field);
+      }
+      out.append("}}");
     }
     out.append("]}");
   }

@@ -10,15 +10,15 @@
 //   --collector=K   g1 | ps
 //   --json=PATH     write a machine-readable result file (schema
 //                   "nvmgc.bench.v2": config + per-run results + lifetime
-//                   metrics + per-pause snapshots + histogram percentile
+//                   metrics + per-pause GC records + histogram percentile
 //                   digests + optional extra scalars)
 //   --trace=PATH    write a merged Chrome-trace / Perfetto JSON file; each
 //                   recorded run becomes one "process" named by its label,
 //                   with NVM bandwidth counter tracks under the GC spans
 //   --timeline      embed each observed run's per-pause bandwidth timeline
 //                   (150 us read/write MB/s + interleave samples) in --json
-//   --repeat=N      repetitions averaged per data point (NVMGC_BENCH_REPS)
-//   --scale=F       allocation-volume scale factor (NVMGC_BENCH_SCALE)
+//   --repeat=N      repetitions averaged per data point (default 2)
+//   --scale=F       allocation-volume scale factor (default 1.0)
 //   --flight-record=DIR  arm the GC flight recorder's anomaly dumps: each
 //                   observed run writes nvmgc.incident.v1 files into a
 //                   per-label subdirectory of DIR, plus one explicit
@@ -55,7 +55,7 @@ struct BenchRunRecord {
   WorkloadResult result;                      // Averaged over `reps`.
   int reps = 1;
   // Captured from repetition 0 when --json is active:
-  std::vector<PauseSnapshot> pauses;
+  std::vector<GcCycleStats> pauses;  // GcStats::cycles(); ids are the indices.
   std::map<std::string, uint64_t> counters;
   std::map<std::string, uint64_t> gauges;
   // Percentile digests of every registry histogram (schema v2).
@@ -120,8 +120,8 @@ class BenchContext {
   std::string flight_record_dir_;
   uint64_t fr_threshold_ns_ = 0;
   bool timeline_ = false;
-  int repeat_ = 0;      // 0 = env/default.
-  double scale_ = 0.0;  // 0 = env/default.
+  int repeat_ = 0;      // 0 = default.
+  double scale_ = 0.0;  // 0 = default.
 
   std::vector<BenchRunRecord> runs_;
   std::string trace_events_;  // Accumulated Chrome-trace objects.

@@ -2,8 +2,8 @@
 """Validate the artifacts a bench writes with --json / --trace.
 
 Checks that the result JSON follows schema nvmgc.bench.v1 or v2 (required
-keys, well-formed runs, per-pause snapshots keyed by the stable dotted metric
-names; v2 adds histogram percentile digests, optional per-run bandwidth
+keys, well-formed runs, per-pause records keyed by the stable dotted metric
+names and summing to the lifetime counters; v2 adds histogram percentile digests, optional per-run bandwidth
 timelines and extra scalars) and that the trace file is a loadable
 Chrome-trace JSON with nested GC phase spans. Used by CI after the smoke
 bench; exits nonzero with a message on the first violation.
@@ -125,19 +125,22 @@ def check_json(path, require_pauses, require_timeline):
                 fail(f"{path}: runs[{i}].extra is not an object")
             if "timeline" in run:
                 total_samples += check_timeline(path, i, run["timeline"])
+        sums = {}
         for j, pause in enumerate(run["pauses"]):
             for key in ("id", "start_ns", "values"):
                 if key not in pause:
                     fail(f"{path}: runs[{i}].pauses[{j}] missing {key!r}")
             if "gc.pause_ns" not in pause["values"]:
                 fail(f"{path}: runs[{i}].pauses[{j}].values lacks gc.pause_ns")
-            # Snapshot-vs-aggregate consistency: no pause value may exceed the
-            # lifetime counter of the same name.
             for name, value in pause["values"].items():
-                lifetime = run["metrics"]["counters"].get(name)
-                if lifetime is not None and value > lifetime:
-                    fail(f"{path}: runs[{i}].pauses[{j}] {name}={value} exceeds "
-                         f"lifetime counter {lifetime}")
+                sums[name] = sums.get(name, 0) + value
+        # Per-pause vs aggregate consistency: each per-pause value sums over
+        # the run's pauses to the lifetime counter of the same name.
+        for name, total in sorted(sums.items()):
+            lifetime = run["metrics"]["counters"].get(name)
+            if lifetime != total:
+                fail(f"{path}: runs[{i}] pauses sum {name}={total} but the "
+                     f"lifetime counter is {lifetime}")
         total_pauses += len(run["pauses"])
     if require_pauses and total_pauses == 0:
         fail(f"{path}: no run recorded any GC pause "

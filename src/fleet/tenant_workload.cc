@@ -12,34 +12,8 @@ namespace nvmgc {
 ServingDriver::ServingDriver(Vm* vm, const ServingConfig& config)
     : vm_(vm),
       config_(config),
-      mutator_(vm->CreateMutator()),
-      rng_(config.seed),
-      zipf_(config.rows, config.zipf_theta, config.seed ^ 0x5a5a) {
-  KlassTable& klasses = vm->heap().klasses();
-  row_klass_ = klasses.RegisterByteArray("serving.Row");
-  request_klass_ = klasses.RegisterRegular("serving.Request", 1, 48);
-  table_ = std::make_unique<ManagedTable>(vm, mutator_, config.rows);
-  for (uint64_t i = 0; i < config.rows; ++i) {
-    table_->Set(i, mutator_->Allocate({row_klass_, config.row_bytes}));
-  }
-}
-
-void ServingDriver::ServeRead(uint64_t row) {
-  const Address request = mutator_->Allocate({request_klass_});
-  const Address data = table_->Get(row);
-  mutator_->WriteRef(request, 0, data);
-  mutator_->ReadPayload(data, config_.row_bytes);
-  const Address response = mutator_->Allocate({row_klass_, config_.row_bytes});
-  mutator_->WritePayload(response, config_.row_bytes);
-}
-
-void ServingDriver::ServeWrite(uint64_t row) {
-  const Address request = mutator_->Allocate({request_klass_});
-  const Address fresh = mutator_->Allocate({row_klass_, config_.row_bytes});
-  mutator_->WriteRef(request, 0, fresh);
-  mutator_->WritePayload(fresh, config_.row_bytes);
-  table_->Set(row, fresh);
-}
+      service_(vm, CassandraConfig{static_cast<uint32_t>(config.rows), config.row_bytes,
+                                   config.zipf_theta, config.seed}) {}
 
 void ServingDriver::Step() {
   if (Done()) {
@@ -57,16 +31,7 @@ void ServingDriver::Step() {
     const uint64_t arrival =
         first_arrival_ns_ +
         static_cast<uint64_t>(static_cast<double>(served_) * interarrival_ns);
-    // Open loop: idle until the arrival; a backlog counts as queueing latency.
-    vm_->clock().SyncForwardTo(arrival);
-    const uint64_t row = zipf_.Next();
-    if (rng_.NextBool(config_.write_fraction)) {
-      ServeWrite(row);
-    } else {
-      ServeRead(row);
-    }
-    vm_->clock().Advance(config_.request_cpu_ns);
-    const uint64_t latency_ns = vm_->now_ns() - arrival;
+    const uint64_t latency_ns = service_.Serve(arrival, config_.write_fraction);
     latencies_.Record(latency_ns);
     vm_->metrics().RecordHistogram("serving.op_latency_ns", latency_ns);
     ++served_;

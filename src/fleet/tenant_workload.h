@@ -31,6 +31,7 @@
 #include "src/runtime/vm.h"
 #include "src/util/histogram.h"
 #include "src/util/random.h"
+#include "src/workloads/cassandra.h"
 #include "src/workloads/spark.h"
 
 namespace nvmgc {
@@ -56,11 +57,10 @@ struct ServingConfig {
   double write_fraction = 0.10;
   uint64_t total_requests = 40000;
   uint64_t requests_per_step = 32;
-  // Request-handling CPU outside heap accesses (parse/serialize/coordinate).
-  uint64_t request_cpu_ns = 3500;
   uint64_t seed = 1;
 };
 
+// Drives a CassandraService: its table, request path and per-request CPU.
 class ServingDriver : public TenantDriver {
  public:
   ServingDriver(Vm* vm, const ServingConfig& config);
@@ -73,17 +73,9 @@ class ServingDriver : public TenantDriver {
   uint64_t served() const { return served_; }
 
  private:
-  void ServeRead(uint64_t row);
-  void ServeWrite(uint64_t row);
-
   Vm* vm_;
   ServingConfig config_;
-  Mutator* mutator_;
-  Random rng_;
-  ZipfGenerator zipf_;
-  KlassId row_klass_ = 0;
-  KlassId request_klass_ = 0;
-  std::unique_ptr<ManagedTable> table_;
+  CassandraService service_;
   Histogram latencies_;
   uint64_t served_ = 0;
   uint64_t first_arrival_ns_ = 0;

@@ -116,6 +116,7 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
                                     GcKind kind) {
   ++gc_epoch_;
   const uint64_t t0 = app_clock->now_ns();
+  const DeviceCounters dram_before = heap_->dram_device()->counters();
   NVMGC_CHECK(queues_->AllEmpty());
   kind_ = kind;
   // Publish the mutators' pending ledger charges so the workers' mix
@@ -302,28 +303,8 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
   // --- Assemble cycle statistics. ---
   GcCycleStats cycle;
   for (uint32_t i = 0; i < n; ++i) {
-    Worker& w = workers_[i];
-    const GcCycleStats& l = w.local;
-    cycle.objects_copied += l.objects_copied;
-    cycle.bytes_copied += l.bytes_copied;
-    cycle.objects_promoted += l.objects_promoted;
-    cycle.bytes_promoted += l.bytes_promoted;
-    cycle.refs_processed += l.refs_processed;
-    cycle.steals += l.steals;
-    cycle.cache_bytes_staged += l.cache_bytes_staged;
-    cycle.cache_overflow_bytes += l.cache_overflow_bytes;
-    cycle.regions_flushed_sync += l.regions_flushed_sync;
-    cycle.regions_flushed_async += l.regions_flushed_async;
-    cycle.regions_steal_tainted += l.regions_steal_tainted;
-    cycle.cache_fault_denials += l.cache_fault_denials;
-    cycle.cache_fallback_workers += l.cache_fallback_workers;
-    cycle.cache_fallback_bytes += l.cache_fallback_bytes;
-    cycle.survivor_overflow_bytes += l.survivor_overflow_bytes;
-    cycle.prefetches_issued += l.prefetches_issued;
-    cycle.prefetch_hits += w.prefetch.hits();
-    cycle.persist_flush_lines += l.persist_flush_lines;
-    cycle.persist_fences += l.persist_fences;
-    cycle.persist_ns += l.persist_ns;
+    cycle += workers_[i].local;
+    cycle.prefetch_hits += workers_[i].prefetch.hits();
   }
   if (site_profiler_ != nullptr) {
     // Fold the worker-local site deltas into the profiler (control thread):
@@ -417,6 +398,9 @@ GcCycleStats CopyCollector::Collect(const std::vector<Address*>& roots, SimClock
     }
   }
 
+  const DeviceCounters dram_delta = heap_->dram_device()->counters() - dram_before;
+  cycle.dram_read_bytes = dram_delta.read_bytes;
+  cycle.dram_write_bytes = dram_delta.write_bytes;
   app_clock->SetTime(pause_end);
   stats_.Add(cycle);
   return cycle;

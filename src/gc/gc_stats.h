@@ -5,6 +5,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 #include <vector>
 
 namespace nvmgc {
@@ -20,6 +22,9 @@ inline const char* GcKindName(GcKind kind) {
   return kind == GcKind::kMajor ? "major" : "minor";
 }
 
+// One pause's record. Every field except start_ns and tenure_threshold_used
+// is a per-pause amount that sums across workers and pauses, and has a stable
+// dotted name in kCycleFields below.
 struct GcCycleStats {
   uint64_t start_ns = 0;  // Simulated time at which the pause began.
   uint64_t pause_ns = 0;
@@ -62,6 +67,9 @@ struct GcCycleStats {
   // Device traffic deltas over the pause (heap device).
   uint64_t device_read_bytes = 0;
   uint64_t device_write_bytes = 0;
+  // DRAM device traffic deltas over the pause (staging, header-map probes).
+  uint64_t dram_read_bytes = 0;
+  uint64_t dram_write_bytes = 0;
 
   // Prefetching.
   uint64_t prefetches_issued = 0;
@@ -73,7 +81,87 @@ struct GcCycleStats {
   uint64_t persist_ns = 0;            // Simulated time in flushes + fences.
   uint64_t persist_redo_entries = 0;  // In-place-update redo log entries.
   uint64_t persist_commit_bytes = 0;  // Commit record payload bytes written.
+
+  GcKind kind() const { return is_major != 0 ? GcKind::kMajor : GcKind::kMinor; }
+
+  // Adds every kCycleFields field of `other`; start_ns and
+  // tenure_threshold_used are left as they are.
+  GcCycleStats& operator+=(const GcCycleStats& other);
 };
+
+// The per-pause record's field list and stable dotted metric names: lifetime
+// counters, bench JSON "pauses" values and incident "counters" all come from
+// this table. Sorted by name, so serializers emit keys in std::map order.
+struct CycleField {
+  const char* name;
+  uint64_t GcCycleStats::*field;
+};
+
+inline constexpr CycleField kCycleFields[] = {
+    {"cache.bytes_staged", &GcCycleStats::cache_bytes_staged},
+    {"cache.fallback_bytes", &GcCycleStats::cache_fallback_bytes},
+    {"cache.fallback_workers", &GcCycleStats::cache_fallback_workers},
+    {"cache.fault_denials", &GcCycleStats::cache_fault_denials},
+    {"cache.overflow_bytes", &GcCycleStats::cache_overflow_bytes},
+    {"cache.regions_flushed_async", &GcCycleStats::regions_flushed_async},
+    {"cache.regions_flushed_sync", &GcCycleStats::regions_flushed_sync},
+    {"cache.regions_steal_tainted", &GcCycleStats::regions_steal_tainted},
+    {"device.dram.read_bytes", &GcCycleStats::dram_read_bytes},
+    {"device.dram.write_bytes", &GcCycleStats::dram_write_bytes},
+    {"device.heap.read_bytes", &GcCycleStats::device_read_bytes},
+    {"device.heap.write_bytes", &GcCycleStats::device_write_bytes},
+    {"gc.bytes_copied", &GcCycleStats::bytes_copied},
+    {"gc.bytes_promoted", &GcCycleStats::bytes_promoted},
+    {"gc.degraded_pauses", &GcCycleStats::degraded_mode},
+    {"gc.major_pauses", &GcCycleStats::is_major},
+    {"gc.objects_copied", &GcCycleStats::objects_copied},
+    {"gc.objects_promoted", &GcCycleStats::objects_promoted},
+    {"gc.pause_ns", &GcCycleStats::pause_ns},
+    {"gc.read_phase_ns", &GcCycleStats::read_phase_ns},
+    {"gc.refs_processed", &GcCycleStats::refs_processed},
+    {"gc.steals", &GcCycleStats::steals},
+    {"gc.writeback_phase_ns", &GcCycleStats::writeback_phase_ns},
+    {"gen.old_cset_bytes", &GcCycleStats::old_cset_bytes},
+    {"gen.survivor_overflow_bytes", &GcCycleStats::survivor_overflow_bytes},
+    {"gen.young_cset_bytes", &GcCycleStats::young_cset_bytes},
+    {"hm.fault_probes", &GcCycleStats::header_map_fault_probes},
+    {"hm.hits", &GcCycleStats::header_map_hits},
+    {"hm.installs", &GcCycleStats::header_map_installs},
+    {"hm.overflows", &GcCycleStats::header_map_overflows},
+    {"persist.commit_bytes", &GcCycleStats::persist_commit_bytes},
+    {"persist.fences", &GcCycleStats::persist_fences},
+    {"persist.flush_lines", &GcCycleStats::persist_flush_lines},
+    {"persist.ns", &GcCycleStats::persist_ns},
+    {"persist.redo_entries", &GcCycleStats::persist_redo_entries},
+    {"prefetch.hits", &GcCycleStats::prefetch_hits},
+    {"prefetch.issued", &GcCycleStats::prefetches_issued},
+};
+
+// A field added to GcCycleStats without a table entry fails here.
+static_assert(sizeof(GcCycleStats) == (std::size(kCycleFields) + 2) * sizeof(uint64_t),
+              "every summed GcCycleStats field needs a kCycleFields entry");
+
+// Names strictly ascending (so unique) and no field listed twice.
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kCycleFields); ++i) {
+        if (i > 0 && std::string_view(kCycleFields[i - 1].name) >= kCycleFields[i].name) {
+          return false;
+        }
+        for (size_t j = 0; j < i; ++j) {
+          if (kCycleFields[j].field == kCycleFields[i].field) return false;
+        }
+      }
+      return true;
+    }(),
+    "kCycleFields must be sorted by name, one entry a field");
+
+inline GcCycleStats& GcCycleStats::operator+=(const GcCycleStats& other) {
+  for (const CycleField& f : kCycleFields) {
+    this->*f.field += other.*f.field;
+  }
+  return *this;
+}
 
 class GcStats {
  public:
@@ -81,16 +169,6 @@ class GcStats {
 
   const std::vector<GcCycleStats>& cycles() const { return cycles_; }
   size_t gc_count() const { return cycles_.size(); }
-
-  // Cycles that ran with async flushing and non-temporal stores disabled
-  // because the fault injector reported sustained throttling.
-  uint64_t degraded_cycles() const {
-    uint64_t n = 0;
-    for (const auto& c : cycles_) {
-      n += c.degraded_mode;
-    }
-    return n;
-  }
 
   uint64_t total_pause_ns() const {
     uint64_t total = 0;
@@ -103,43 +181,9 @@ class GcStats {
   GcCycleStats Totals() const {
     GcCycleStats t;
     for (const auto& c : cycles_) {
-      t.pause_ns += c.pause_ns;
-      t.read_phase_ns += c.read_phase_ns;
-      t.writeback_phase_ns += c.writeback_phase_ns;
-      t.is_major += c.is_major;
-      t.young_cset_bytes += c.young_cset_bytes;
-      t.old_cset_bytes += c.old_cset_bytes;
-      t.survivor_overflow_bytes += c.survivor_overflow_bytes;
+      t += c;
       // tenure_threshold_used is a per-cycle value, not a sum; keep the last.
       t.tenure_threshold_used = c.tenure_threshold_used;
-      t.objects_copied += c.objects_copied;
-      t.bytes_copied += c.bytes_copied;
-      t.objects_promoted += c.objects_promoted;
-      t.bytes_promoted += c.bytes_promoted;
-      t.refs_processed += c.refs_processed;
-      t.steals += c.steals;
-      t.cache_bytes_staged += c.cache_bytes_staged;
-      t.cache_overflow_bytes += c.cache_overflow_bytes;
-      t.regions_flushed_sync += c.regions_flushed_sync;
-      t.regions_flushed_async += c.regions_flushed_async;
-      t.regions_steal_tainted += c.regions_steal_tainted;
-      t.header_map_installs += c.header_map_installs;
-      t.header_map_overflows += c.header_map_overflows;
-      t.header_map_hits += c.header_map_hits;
-      t.cache_fault_denials += c.cache_fault_denials;
-      t.cache_fallback_workers += c.cache_fallback_workers;
-      t.cache_fallback_bytes += c.cache_fallback_bytes;
-      t.degraded_mode += c.degraded_mode;
-      t.header_map_fault_probes += c.header_map_fault_probes;
-      t.device_read_bytes += c.device_read_bytes;
-      t.device_write_bytes += c.device_write_bytes;
-      t.prefetches_issued += c.prefetches_issued;
-      t.prefetch_hits += c.prefetch_hits;
-      t.persist_flush_lines += c.persist_flush_lines;
-      t.persist_fences += c.persist_fences;
-      t.persist_ns += c.persist_ns;
-      t.persist_redo_entries += c.persist_redo_entries;
-      t.persist_commit_bytes += c.persist_commit_bytes;
     }
     return t;
   }

@@ -151,7 +151,7 @@ FrTriggerInfo FlightRecorder::Evaluate(const FlightPauseRecord& record) const {
       return info;
     }
   }
-  if (record.degraded) {
+  if (record.stats.degraded_mode != 0) {
     info.kind = FrTrigger::kDegraded;
     info.detail = "pause ran in degraded mode";
     return info;
@@ -273,26 +273,22 @@ std::string FlightRecorder::SerializeIncident(const FrTriggerInfo& trigger,
     first_pause = false;
     out += '{';
     AppendU64(&out, "pause_id", p.pause_id);
-    AppendStr(&out, "kind", GcKindName(p.kind));
-    AppendBool(&out, "degraded", p.degraded);
+    AppendStr(&out, "kind", GcKindName(p.stats.kind()));
+    AppendBool(&out, "degraded", p.stats.degraded_mode != 0);
     AppendBool(&out, "retreat", p.retreat);
     AppendU64(&out, "start_ns", p.stats.start_ns);
     AppendU64(&out, "pause_ns", p.stats.pause_ns);
     AppendU64(&out, "read_phase_ns", p.stats.read_phase_ns);
     AppendU64(&out, "writeback_phase_ns", p.stats.writeback_phase_ns);
     out += "\"counters\":{";
-    // The stable dotted names (metrics.h kCycleFields) + the pause's DRAM
-    // traffic, exactly what the per-pause MetricsRegistry snapshot carries.
-    PauseSnapshot snap = SnapshotFromCycle(p.pause_id, p.stats);
-    snap.values["device.dram.read_bytes"] = p.dram_read_bytes;
-    snap.values["device.dram.write_bytes"] = p.dram_write_bytes;
+    // The stable dotted names of kCycleFields, in its (sorted) order.
     bool first_counter = true;
-    for (const auto& [name, value] : snap.values) {
+    for (const CycleField& f : kCycleFields) {
       if (!first_counter) out += ',';
       first_counter = false;
-      AppendEscaped(&out, name);
+      AppendEscaped(&out, f.name);
       out += ':';
-      out += std::to_string(value);
+      out += std::to_string(p.stats.*f.field);
     }
     out += "},";
     out += "\"decisions\":[";
@@ -406,10 +402,10 @@ std::string FlightRecorder::SerializeTrace() const {
       out += buf;
       out += "\"args\":{";
       AppendU64(&out, "pause_id", p.pause_id);
-      AppendStr(&out, "kind", GcKindName(p.kind), /*comma=*/false);
+      AppendStr(&out, "kind", GcKindName(p.stats.kind()), /*comma=*/false);
       out += "}}";
     }
-    if (p.degraded) {
+    if (p.stats.degraded_mode != 0) {
       if (!first) out += ',';
       first = false;
       out += "{\"ph\":\"i\",\"name\":\"gc.degraded\",\"cat\":\"gc\",\"s\":\"g\","

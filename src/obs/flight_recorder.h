@@ -86,12 +86,8 @@ struct FrTriggerInfo {
 // Everything the recorder retains about one pause.
 struct FlightPauseRecord {
   uint64_t pause_id = 0;
-  GcKind kind = GcKind::kMinor;
-  bool degraded = false;
   bool retreat = false;  // Any policy retreat decision at this pause.
-  GcCycleStats stats;    // Serialized through the stable dotted names at dump.
-  uint64_t dram_read_bytes = 0;
-  uint64_t dram_write_bytes = 0;
+  GcCycleStats stats;    // Kind, degraded flag and counters (kCycleFields names).
   std::vector<PolicyDecision> decisions;   // Decisions made at this pause end.
   std::vector<TimelineSample> timeline;    // This pause's bandwidth samples.
   std::vector<SitePauseDelta> sites;       // Per-site demographics of the pause.

@@ -1,7 +1,8 @@
 // Unified metrics registry: every counter the runtime produces — GcCycleStats,
 // write-cache and header-map counters, fault-injector counters, MemoryDevice
 // traffic ledgers — under stable dotted names (see DESIGN.md §6 for the naming
-// scheme), with per-pause snapshots and process-lifetime aggregation.
+// scheme), aggregated over the process lifetime. Per-pause values are not kept
+// here: they are GcStats::cycles(), named by kCycleFields (src/gc/gc_stats.h).
 //
 // Threading: the registry is owned by the Vm and mutated only on the control
 // thread (pause boundaries, end-of-run exports). Parallel GC phases never
@@ -20,14 +21,6 @@
 #include "src/util/histogram.h"
 
 namespace nvmgc {
-
-// One pause's metric values (name → value). Names are the stable dotted
-// scheme; the set of keys for GC pauses is GcPauseMetricNames().
-struct PauseSnapshot {
-  uint64_t id = 0;        // Pause ordinal within the process (0-based).
-  uint64_t start_ns = 0;  // Simulated time the pause began.
-  std::map<std::string, uint64_t> values;
-};
 
 // Plain-value percentile digest of one histogram (what reports and bench
 // JSON carry — the full bucket array never leaves the registry).
@@ -67,18 +60,8 @@ class MetricsRegistry {
 
   // Merges `src` into this registry with every name prefixed — the fleet
   // roll-up: FleetManager merges each tenant Vm's registry under
-  // "tenant.<id>.". Counters add, gauges last-write-wins, histograms merge,
-  // and pause snapshots are appended with prefixed value keys (ids and start
-  // times kept, so per-tenant pause streams stay distinguishable and
-  // correctly timestamped).
+  // "tenant.<id>.". Counters add, gauges last-write-wins, histograms merge.
   void MergeFrom(const MetricsRegistry& src, const std::string& prefix);
-
-  // --- Per-pause snapshots ---
-  // Records one pause: every snapshot value is also added to the lifetime
-  // counter of the same name, so snapshot-vs-aggregate stays consistent by
-  // construction.
-  void RecordPause(PauseSnapshot snapshot);
-  const std::vector<PauseSnapshot>& pauses() const { return pauses_; }
 
   const std::map<std::string, uint64_t>& counters() const { return counters_; }
   const std::map<std::string, uint64_t>& gauges() const { return gauges_; }
@@ -87,26 +70,15 @@ class MetricsRegistry {
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, uint64_t> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::vector<PauseSnapshot> pauses_;
 };
 
-// --- GC cycle → metrics mapping ---
-
-// The stable per-pause metric names, in the order they appear in snapshots.
-const std::vector<std::string>& GcPauseMetricNames();
-
-// Maps one merged GC cycle to a snapshot keyed by GcPauseMetricNames().
-PauseSnapshot SnapshotFromCycle(uint64_t id, const GcCycleStats& cycle);
-
-// Records the per-pause duration histograms for one cycle: the aggregate
-// gc.pause_ns / gc.read_phase_ns / gc.writeback_phase_ns tracks plus the
-// kind-split gc.pause.minor.* / gc.pause.major.* tracks (derived from
-// cycle.is_major; non-generational runs only ever populate the minor tracks,
-// so percentile dashboards stay comparable across modes).
-void RecordGcCycleHistograms(MetricsRegistry* registry, const GcCycleStats& cycle);
-
-// Records `cycle` into `registry`: per-pause snapshot + lifetime counters +
-// the duration histograms of RecordGcCycleHistograms().
+// Records one merged GC cycle into `registry`: each kCycleFields value is
+// added to the lifetime counter of the same name, so the sum of a run's
+// GcStats::cycles() equals its counters by construction. Also records the
+// duration histograms: the aggregate gc.pause_ns / gc.read_phase_ns /
+// gc.writeback_phase_ns tracks plus the kind-split gc.pause.minor.* /
+// gc.pause.major.* tracks (non-generational runs only ever populate the minor
+// tracks, so percentile dashboards stay comparable across modes).
 void RecordGcCycle(MetricsRegistry* registry, const GcCycleStats& cycle);
 
 }  // namespace nvmgc

@@ -122,9 +122,10 @@ class Vm {
   const VmOptions& options() const { return options_; }
 
   // --- Observability ---
-  // The metrics registry holds a per-pause snapshot and lifetime aggregates
-  // for every collection this Vm ran; lifetime device/cache/header-map/fault
-  // gauges are refreshed at each pause boundary (see src/obs/metrics.h).
+  // The metrics registry holds lifetime aggregates for every collection this
+  // Vm ran (per-pause values are gc_stats().cycles()); lifetime
+  // device/cache/header-map/fault gauges are refreshed at each pause boundary
+  // (see src/obs/metrics.h).
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   // The tracer records phase spans when options().trace_gc is set.

@@ -44,6 +44,18 @@ void CassandraService::ServeWrite(uint64_t row) {
   table_->Set(row, fresh);  // Previous row becomes garbage.
 }
 
+uint64_t CassandraService::Serve(uint64_t arrival_ns, double write_fraction) {
+  vm_->clock().SyncForwardTo(arrival_ns);
+  const uint64_t row = zipf_.Next();
+  if (rng_.NextBool(write_fraction)) {
+    ServeWrite(row);
+  } else {
+    ServeRead(row);
+  }
+  vm_->clock().Advance(kRequestCpuNs);
+  return vm_->now_ns() - arrival_ns;
+}
+
 LatencyResult CassandraService::RunPhase(uint64_t requests, double offered_kqps,
                                          double write_fraction) {
   Histogram latencies;
@@ -52,17 +64,7 @@ LatencyResult CassandraService::RunPhase(uint64_t requests, double offered_kqps,
   for (uint64_t i = 0; i < requests; ++i) {
     const uint64_t arrival =
         phase_start + static_cast<uint64_t>(static_cast<double>(i) * interarrival_ns);
-    // Open loop: the server idles until the arrival; a backlog (clock past the
-    // arrival) queues the request and its waiting time counts as latency.
-    vm_->clock().SyncForwardTo(arrival);
-    const uint64_t row = zipf_.Next();
-    if (rng_.NextBool(write_fraction)) {
-      ServeWrite(row);
-    } else {
-      ServeRead(row);
-    }
-    vm_->clock().Advance(kRequestCpuNs);
-    const uint64_t latency_ns = vm_->now_ns() - arrival;
+    const uint64_t latency_ns = Serve(arrival, write_fraction);
     latencies.Record(latency_ns);
     // Also feed the Vm's registry so the op latencies surface in GcReport's
     // percentile table and in bench JSON histogram digests.

@@ -46,6 +46,12 @@ class CassandraService {
   // runs a write-only phase then a read-only phase).
   LatencyResult RunPhase(uint64_t requests, double offered_kqps, double write_fraction);
 
+  // Serves one request arriving at `arrival_ns`, a write with probability
+  // `write_fraction`, and returns its latency in simulated ns. Open loop: the
+  // server idles until the arrival; a backlog (clock past the arrival) queues
+  // the request and its waiting time counts as latency.
+  uint64_t Serve(uint64_t arrival_ns, double write_fraction);
+
  private:
   void ServeRead(uint64_t row);
   void ServeWrite(uint64_t row);

@@ -384,11 +384,9 @@ TEST(MetricsMergeTest, MergeFromPrefixesEveryName) {
   src.SetGauge("heap.free_regions", 7);
   src.RecordHistogram("serving.op_latency_ns", 100);
   src.RecordHistogram("serving.op_latency_ns", 300);
-  PauseSnapshot ps;
-  ps.id = 3;
-  ps.start_ns = 42;
-  ps.values["gc.pause_ns"] = 11;
-  src.RecordPause(ps);
+  GcCycleStats cycle;
+  cycle.pause_ns = 11;
+  RecordGcCycle(&src, cycle);
 
   MetricsRegistry dst;
   dst.AddCounter("tenant.1.alloc.bytes", 2);
@@ -397,13 +395,9 @@ TEST(MetricsMergeTest, MergeFromPrefixesEveryName) {
   EXPECT_EQ(dst.counter("tenant.1.alloc.bytes"), 7u);  // Counters add.
   EXPECT_EQ(dst.gauges().at("tenant.1.heap.free_regions"), 7u);
   EXPECT_EQ(dst.Summary("tenant.1.serving.op_latency_ns").count, 2u);
-  // RecordPause mirrored the value into src's lifetime counters; the merge
+  // RecordGcCycle added the pause to src's lifetime counters; the merge
   // carries it over exactly once.
   EXPECT_EQ(dst.counter("tenant.1.gc.pause_ns"), 11u);
-  ASSERT_EQ(dst.pauses().size(), 1u);
-  EXPECT_EQ(dst.pauses()[0].id, 3u);
-  EXPECT_EQ(dst.pauses()[0].start_ns, 42u);
-  EXPECT_EQ(dst.pauses()[0].values.at("tenant.1.gc.pause_ns"), 11u);
 }
 
 // --- Flight recorder tenant tagging (satellite) ---
@@ -647,13 +641,13 @@ PolicySignals ThrottledPauseSignals(uint64_t pause_id, const PolicyEngine& engin
                                     uint64_t stall_ns, uint64_t interval_ns) {
   PolicySignals s;
   s.pause_id = pause_id;
-  s.pause_ns = 1'000'000;
-  s.read_phase_ns = 800'000;
-  s.writeback_phase_ns = 200'000;
-  s.bytes_copied = 4 * 1024 * 1024;
-  s.objects_copied = 1000;
-  s.refs_processed = 3000;
-  s.cache_bytes_staged = engine.tuning().write_cache_capacity_bytes / 2;
+  s.cycle.pause_ns = 1'000'000;
+  s.cycle.read_phase_ns = 800'000;
+  s.cycle.writeback_phase_ns = 200'000;
+  s.cycle.bytes_copied = 4 * 1024 * 1024;
+  s.cycle.objects_copied = 1000;
+  s.cycle.refs_processed = 3000;
+  s.cycle.cache_bytes_staged = engine.tuning().write_cache_capacity_bytes / 2;
   s.fleet_stall_ns = stall_ns;
   s.fleet_interval_ns = interval_ns;
   return s;

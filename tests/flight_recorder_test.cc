@@ -201,7 +201,7 @@ TEST(FlightRecorderTest, StateTriggersAndPriority) {
   FlightRecorder fr(o);
 
   FlightPauseRecord degraded = MakePause(0, 100);
-  degraded.degraded = true;
+  degraded.stats.degraded_mode = 1;
   EXPECT_EQ(fr.RecordPause(std::move(degraded)), FrTrigger::kDegraded);
 
   FlightPauseRecord retreat = MakePause(1, 100);
@@ -220,7 +220,7 @@ TEST(FlightRecorderTest, StateTriggersAndPriority) {
 
   // Absolute threshold outranks the state triggers.
   FlightPauseRecord both = MakePause(3, 20000);
-  both.degraded = true;
+  both.stats.degraded_mode = 1;
   EXPECT_EQ(fr.RecordPause(std::move(both)), FrTrigger::kPauseThreshold);
 }
 

@@ -1,11 +1,13 @@
-// Tests for the observability layer (src/obs/): the MetricsRegistry with its
-// stable dotted names and snapshot-vs-aggregate consistency, the GcTracer
-// ring buffers, and the Chrome-trace export of a real traced GC cycle.
+// Tests for the observability layer (src/obs/): the MetricsRegistry, the
+// per-pause field table (kCycleFields) with its stable dotted names and
+// per-pause vs aggregate consistency, the GcTracer ring buffers, and the
+// Chrome-trace export of a real traced GC cycle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -52,54 +54,73 @@ TEST(MetricsRegistryTest, NameListsAreSorted) {
   EXPECT_EQ(names.front(), "cache.bytes_staged");
 }
 
-TEST(MetricsRegistryTest, RecordPauseFeedsLifetimeCounters) {
-  MetricsRegistry m;
-  PauseSnapshot a;
-  a.id = 0;
-  a.values["gc.pause_ns"] = 100;
-  a.values["gc.bytes_copied"] = 64;
-  PauseSnapshot b;
-  b.id = 1;
-  b.values["gc.pause_ns"] = 50;
-  b.values["gc.bytes_copied"] = 32;
-  m.RecordPause(a);
-  m.RecordPause(b);
-  ASSERT_EQ(m.pauses().size(), 2u);
-  // Snapshot-vs-aggregate consistency by construction: lifetime counters are
-  // the sums of the per-pause values.
-  EXPECT_EQ(m.counter("gc.pause_ns"), 150u);
-  EXPECT_EQ(m.counter("gc.bytes_copied"), 96u);
-  for (const PauseSnapshot& p : m.pauses()) {
-    for (const auto& [name, value] : p.values) {
-      EXPECT_LE(value, m.counter(name)) << name;
-    }
+// A cycle with every kCycleFields field set to a distinct value.
+GcCycleStats DistinctCycle(uint64_t base) {
+  GcCycleStats c;
+  uint64_t v = base;
+  for (const CycleField& f : kCycleFields) {
+    c.*f.field = v++;
   }
+  c.start_ns = base * 1000;
+  c.tenure_threshold_used = base;
+  return c;
 }
 
-TEST(MetricsRegistryTest, SnapshotFromCycleUsesTheStableNames) {
+TEST(CycleFieldsTest, EveryFieldSumsThroughAddTotalsAndCounters) {
+  const GcCycleStats a = DistinctCycle(1);
+  const GcCycleStats b = DistinctCycle(100);
+
+  GcCycleStats sum = a;
+  sum += b;
+  GcStats stats;
+  stats.Add(a);
+  stats.Add(b);
+  const GcCycleStats totals = stats.Totals();
+  MetricsRegistry m;
+  RecordGcCycle(&m, a);
+  RecordGcCycle(&m, b);
+
+  for (const CycleField& f : kCycleFields) {
+    const uint64_t expected = a.*f.field + b.*f.field;
+    EXPECT_EQ(sum.*f.field, expected) << f.name;
+    EXPECT_EQ(totals.*f.field, expected) << f.name;
+    EXPECT_EQ(m.counter(f.name), expected) << f.name;
+  }
+  // The two per-cycle values are not summed: += leaves them alone, Totals()
+  // keeps no start time and the last tenure threshold.
+  EXPECT_EQ(sum.start_ns, a.start_ns);
+  EXPECT_EQ(sum.tenure_threshold_used, a.tenure_threshold_used);
+  EXPECT_EQ(totals.start_ns, 0u);
+  EXPECT_EQ(totals.tenure_threshold_used, b.tenure_threshold_used);
+  // RecordGcCycle creates exactly the table's counters.
+  EXPECT_EQ(m.CounterNames().size(), std::size(kCycleFields));
+}
+
+TEST(CycleFieldsTest, TableUsesTheStableNames) {
   GcCycleStats cycle;
-  cycle.start_ns = 42;
   cycle.pause_ns = 1000;
   cycle.cache_bytes_staged = 4096;
   cycle.header_map_installs = 7;
   cycle.device_read_bytes = 8192;
-  const PauseSnapshot snap = SnapshotFromCycle(3, cycle);
-  EXPECT_EQ(snap.id, 3u);
-  EXPECT_EQ(snap.start_ns, 42u);
-  // The snapshot keys are exactly GcPauseMetricNames() — the documented
-  // stable scheme consumers (bench JSON, CI checker) rely on.
-  const std::vector<std::string>& names = GcPauseMetricNames();
-  ASSERT_EQ(snap.values.size(), names.size());
-  for (const std::string& name : names) {
-    EXPECT_TRUE(snap.values.count(name)) << name;
+  cycle.dram_write_bytes = 512;
+  MetricsRegistry m;
+  RecordGcCycle(&m, cycle);
+  // The documented scheme consumers (bench JSON, incident files, the CI
+  // checker) rely on, in sorted order.
+  std::vector<std::string> names;
+  for (const CycleField& f : kCycleFields) {
+    names.push_back(f.name);
   }
-  EXPECT_EQ(snap.values.at("gc.pause_ns"), 1000u);
-  EXPECT_EQ(snap.values.at("cache.bytes_staged"), 4096u);
-  EXPECT_EQ(snap.values.at("hm.installs"), 7u);
-  EXPECT_EQ(snap.values.at("device.heap.read_bytes"), 8192u);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(m.CounterNames(), names);
+  EXPECT_EQ(m.counter("gc.pause_ns"), 1000u);
+  EXPECT_EQ(m.counter("cache.bytes_staged"), 4096u);
+  EXPECT_EQ(m.counter("hm.installs"), 7u);
+  EXPECT_EQ(m.counter("device.heap.read_bytes"), 8192u);
+  EXPECT_EQ(m.counter("device.dram.write_bytes"), 512u);
 }
 
-TEST(MetricsRegistryTest, RecordGcCycleAppendsSnapshotAndHistograms) {
+TEST(MetricsRegistryTest, RecordGcCycleAddsCountersAndHistograms) {
   MetricsRegistry m;
   GcCycleStats cycle;
   cycle.pause_ns = 500;
@@ -107,9 +128,6 @@ TEST(MetricsRegistryTest, RecordGcCycleAppendsSnapshotAndHistograms) {
   cycle.writeback_phase_ns = 200;
   RecordGcCycle(&m, cycle);
   RecordGcCycle(&m, cycle);
-  ASSERT_EQ(m.pauses().size(), 2u);
-  EXPECT_EQ(m.pauses()[0].id, 0u);
-  EXPECT_EQ(m.pauses()[1].id, 1u);
   EXPECT_EQ(m.counter("gc.pause_ns"), 1000u);
   ASSERT_NE(m.histogram("gc.pause_ns"), nullptr);
   EXPECT_EQ(m.histogram("gc.pause_ns")->count(), 2u);
@@ -149,7 +167,7 @@ TEST(MetricsRegistryTest, KindSplitHistogramsTrackPauseKind) {
 
 TEST(HistogramSummaryTest, MergeAndResetAcrossPauses) {
   // Merge folds another histogram's buckets in; Reset empties everything —
-  // the semantics RecordGcCycleHistograms leans on when accumulating pauses.
+  // the semantics RecordGcCycle's histograms lean on when accumulating pauses.
   Histogram a;
   a.Record(100);
   a.Record(200);
@@ -174,28 +192,30 @@ TEST(HistogramSummaryTest, MergeAndResetAcrossPauses) {
   EXPECT_EQ(a.min(), 7u);
 }
 
-TEST(MetricsRegistryTest, SnapshotsAreIsolatedFromLaterUpdates) {
-  // A per-pause snapshot is a value copy: once recorded, neither mutating the
-  // source cycle nor recording later pauses may change it, and mid-pause the
+TEST(MetricsRegistryTest, RecordedCyclesAreIsolatedFromLaterUpdates) {
+  // A recorded cycle is a value copy: once added, neither mutating the source
+  // cycle nor recording later pauses may change it, and mid-pause the
   // lifetime counters must reflect only *completed* pauses — a reader between
   // RecordGcCycle calls never sees partially-updated gen.*/gc.* values.
+  GcStats stats;
   MetricsRegistry m;
   GcCycleStats cycle;
   cycle.pause_ns = 100;
   cycle.bytes_copied = 4096;
+  stats.Add(cycle);
   RecordGcCycle(&m, cycle);
-  const PauseSnapshot first = m.pauses()[0];  // Copy, as a reader would take.
 
-  cycle.pause_ns = 900;        // Mutate the source after recording...
+  cycle.pause_ns = 900;  // Mutate the source after recording...
   cycle.bytes_copied = 1 << 20;
-  EXPECT_EQ(m.pauses()[0].values.at("gc.pause_ns"), 100u);  // ...no effect.
-  EXPECT_EQ(m.counter("gc.pause_ns"), 100u);  // Mid-pause: only pause 0.
+  EXPECT_EQ(stats.cycles()[0].pause_ns, 100u);  // ...no effect.
+  EXPECT_EQ(m.counter("gc.pause_ns"), 100u);     // Mid-pause: only pause 0.
   EXPECT_EQ(m.counter("gc.bytes_copied"), 4096u);
 
+  stats.Add(cycle);
   RecordGcCycle(&m, cycle);
-  // The earlier snapshot is untouched by the second pause.
-  EXPECT_EQ(m.pauses()[0].values.at("gc.pause_ns"), first.values.at("gc.pause_ns"));
-  EXPECT_EQ(m.pauses()[1].values.at("gc.pause_ns"), 900u);
+  // The earlier record is untouched by the second pause.
+  EXPECT_EQ(stats.cycles()[0].pause_ns, 100u);
+  EXPECT_EQ(stats.cycles()[1].pause_ns, 900u);
   EXPECT_EQ(m.counter("gc.pause_ns"), 1000u);
 }
 
@@ -282,14 +302,14 @@ TEST(GcTracerTest, TracedGcCycleProducesNestedPhaseSpans) {
     EXPECT_TRUE(nested) << e.name << " @" << e.start_ns;
   }
 
-  // Metrics agree with the trace: one snapshot per pause, and no per-pause
-  // value exceeds the lifetime counter of the same name.
-  ASSERT_EQ(vm.metrics().pauses().size(), vm.gc_count());
-  for (const PauseSnapshot& p : vm.metrics().pauses()) {
-    for (const auto& [name, value] : p.values) {
-      EXPECT_LE(value, vm.metrics().counter(name)) << name;
-    }
+  // Metrics agree with the trace: one record per pause, and each field sums
+  // over the pauses to the lifetime counter of the same name.
+  const GcCycleStats totals = vm.gc_stats().Totals();
+  ASSERT_EQ(vm.gc_stats().cycles().size(), vm.gc_count());
+  for (const CycleField& f : kCycleFields) {
+    EXPECT_EQ(totals.*f.field, vm.metrics().counter(f.name)) << f.name;
   }
+  EXPECT_GT(totals.dram_write_bytes, 0u);
   EXPECT_GT(vm.metrics().counter("gc.bytes_copied"), 0u);
 }
 
