@@ -3,6 +3,8 @@
 // measure HOST-side overhead (how expensive the simulation machinery itself
 // is), complementing the figure benches, which report simulated time.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "src/core/header_map.h"
@@ -45,6 +47,68 @@ void BM_DeviceMixEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeviceMixEstimate);
+
+// An Optane device with a 1024-region heap arena bound to its heatmap, as a
+// Vm's heap device has: every access pays the heatmap, the ledger and the
+// counters, and threads charging it contend as GC workers do.
+constexpr uint64_t kArenaBase = uint64_t{1} << 32;
+constexpr uint64_t kArenaRegionBytes = 64 * 1024;
+constexpr uint32_t kArenaRegions = 1024;
+
+MemoryDevice& ArenaDevice() {
+  struct Arena {
+    Arena() { dev.heatmap().AddArena(kArenaBase, kArenaRegionBytes, kArenaRegions); }
+    MemoryDevice dev{MakeOptaneProfile()};
+  };
+  static Arena arena;
+  return arena.dev;
+}
+
+// A seeded GC-like mix: scattered object reads and 8-byte slot writes, plus
+// sequential copy reads and (half non-temporal) copy writes that stream
+// through a region.
+std::vector<AccessDescriptor> ArenaAccessMix(uint64_t seed, size_t count) {
+  Random rng(seed);
+  std::vector<AccessDescriptor> mix;
+  mix.reserve(count);
+  uint64_t stream = kArenaBase + rng.NextBelow(kArenaRegions) * kArenaRegionBytes;
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t region = rng.NextBelow(kArenaRegions);
+    const uint64_t scattered = kArenaBase + region * kArenaRegionBytes +
+                               rng.NextBelow(kArenaRegionBytes / 8) * 8;
+    const uint32_t copy_bytes = 64 * static_cast<uint32_t>(1 + rng.NextBelow(8));
+    if ((stream + copy_bytes - kArenaBase) % kArenaRegionBytes < copy_bytes) {
+      stream = kArenaBase + region * kArenaRegionBytes;  // Region full: next one.
+    }
+    const uint64_t kind = rng.NextBelow(20);
+    if (kind < 12) {
+      mix.push_back(RandomRead(scattered, 8 * static_cast<uint32_t>(1 + rng.NextBelow(8))));
+    } else if (kind < 15) {
+      mix.push_back(RandomWrite(scattered, 8));
+    } else if (kind < 18) {
+      mix.push_back(SequentialRead(scattered, copy_bytes));
+    } else {
+      mix.push_back(kind == 18 ? SequentialWrite(stream, copy_bytes)
+                               : NonTemporalWrite(stream, copy_bytes));
+      stream += copy_bytes;
+    }
+  }
+  return mix;
+}
+
+void BM_DeviceAccessArena(benchmark::State& state) {
+  MemoryDevice& dev = ArenaDevice();
+  const std::vector<AccessDescriptor> mix =
+      ArenaAccessMix(1234 + static_cast<uint64_t>(state.thread_index()), 4096);
+  SimClock clock;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dev.Access(&clock, mix[i]));
+    i = (i + 1) % mix.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DeviceAccessArena)->Threads(1)->Threads(3)->UseRealTime();
 
 void BM_HeaderMapPut(benchmark::State& state) {
   MemoryDevice dram(MakeDramProfile());

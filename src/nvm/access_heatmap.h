@@ -15,11 +15,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/nvm/access.h"
+#include "src/nvm/device_shard.h"
 
 namespace nvmgc {
 
@@ -71,9 +72,21 @@ struct HeatmapTotals {
 // before their addresses see traffic; registration is not thread-safe against
 // concurrent Charge on the *same* heatmap configuration step, matching how
 // Vms are constructed.
+//
+// Layout. Read and write bytes and ops are counted per device shard
+// (device_shard.h), in chunks of kChunkSlots consecutive slots that a shard
+// allocates the first time it charges one of their slots, so a thread pays
+// memory only for the slot ranges it touches and an exclusive owner adds
+// without an RMW; discontiguous writes are counted there too, by the shard
+// whose write found the stream ending elsewhere. Only the write stream itself
+// is shared per slot: the end of the slot's last write, swapped by every
+// write (one relaxed exchange), because interleaved writers must break each
+// other's streams. Readers (Snapshot, Totals) sum the allocated chunks:
+// O(slots + touched cells).
 class AccessHeatmap {
  public:
   AccessHeatmap() = default;
+  ~AccessHeatmap();
 
   AccessHeatmap(const AccessHeatmap&) = delete;
   AccessHeatmap& operator=(const AccessHeatmap&) = delete;
@@ -84,9 +97,11 @@ class AccessHeatmap {
   uint32_t AddArena(uint64_t base, uint64_t region_bytes, uint32_t regions);
   bool configured() const { return !arenas_.empty(); }
   uint32_t arena_count() const { return static_cast<uint32_t>(arenas_.size()); }
-  uint32_t regions() const { return static_cast<uint32_t>(slots_.size()); }
+  uint32_t regions() const { return regions_; }
 
-  void Charge(const AccessDescriptor& d);
+  // Counts `d` in the slot its address falls in, on `shard`'s cells.
+  void Charge(const AccessDescriptor& d, DeviceShardRef shard);
+  void Charge(const AccessDescriptor& d) { Charge(d, ThisThreadDeviceShard()); }
 
   // Copies out the per-region counters (index == slot == region index).
   std::vector<RegionHeat> Snapshot() const;
@@ -98,29 +113,47 @@ class AccessHeatmap {
   void ExportMetrics(MetricsRegistry* metrics, const std::string& prefix) const;
 
  private:
-  // One cache line per slot: GC workers streaming into neighbouring regions
-  // must not false-share their heat counters.
-  struct alignas(64) Slot {
+  static constexpr uint32_t kChunkSlots = 64;
+
+  // One shard's counts for one slot.
+  struct Cell {
     std::atomic<uint64_t> read_bytes{0};
     std::atomic<uint64_t> write_bytes{0};
     std::atomic<uint64_t> read_ops{0};
     std::atomic<uint64_t> write_ops{0};
+    // Writes of this shard that found the slot's stream ending elsewhere.
     std::atomic<uint64_t> discontiguous_writes{0};
-    // End address of the most recent write into this slot (0 = none yet).
+  };
+  struct alignas(kShardAlign) Chunk {
+    Cell cells[kChunkSlots];
+  };
+
+  // The slot's write stream: the end address of its most recent write, by
+  // any thread (0 = none yet). One cache line per slot: GC workers streaming
+  // into neighbouring regions must not false-share it.
+  struct alignas(64) Stream {
     std::atomic<uint64_t> last_write_end{0};
   };
 
+  // One arena's slots; its arrays are sized once, at AddArena.
   struct Arena {
     uint64_t base = 0;
     uint64_t end = 0;
     uint64_t region_bytes = 0;
-    size_t slot_offset = 0;
+    uint32_t first_slot = 0;
+    uint32_t regions = 0;
+    uint32_t chunks = 0;  // Chunks per shard: regions / kChunkSlots, rounded up.
+    std::unique_ptr<Stream[]> streams;
+    // Chunk c of shard s: chunk_table[s * chunks + c] (nullptr until used).
+    std::unique_ptr<std::atomic<Chunk*>[]> chunk_table;
   };
 
-  // Slots live in a deque: atomics are immovable, and AddArena must grow the
-  // slot store without relocating slots other threads are charging.
+  // `shard`'s cell for `arena`'s slot `slot`, allocating its chunk on first
+  // use.
+  static Cell& CellFor(const Arena& arena, uint32_t slot, DeviceShardRef shard);
+
   std::vector<Arena> arenas_;
-  std::deque<Slot> slots_;
+  uint32_t regions_ = 0;
 };
 
 }  // namespace nvmgc

@@ -20,11 +20,8 @@ BandwidthLedger::Bucket* BandwidthLedger::BucketFor(uint64_t epoch) const {
     // epoch (kRingSize buckets away) that raced past the claim adds its bytes
     // to the new epoch, acceptable for a mix estimator.
     if (b.epoch.compare_exchange_weak(seen, kClaiming, std::memory_order_acquire)) {
-      b.read_bytes.store(0, std::memory_order_relaxed);
-      b.write_bytes.store(0, std::memory_order_relaxed);
-      b.nt_bytes.store(0, std::memory_order_relaxed);
-      for (auto& t : b.tenant_bytes) {
-        t.store(0, std::memory_order_relaxed);
+      for (std::atomic<uint64_t>& bytes : b.bytes) {
+        bytes.store(0, std::memory_order_relaxed);
       }
       b.epoch.store(epoch, std::memory_order_release);
       break;
@@ -33,58 +30,75 @@ BandwidthLedger::Bucket* BandwidthLedger::BucketFor(uint64_t epoch) const {
   return &b;
 }
 
-void BandwidthLedger::Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant) {
-  Pending& p = pending_[ThisThreadDeviceShard()];
-  const uint64_t epoch = now_ns / bucket_ns_;
-  if (p.epoch.load(std::memory_order_relaxed) != epoch) {
+BandwidthLedger::ChargePoint BandwidthLedger::PointFor(uint64_t now_ns) const {
+  const DeviceShardRef shard = ThisThreadDeviceShard();
+  if (!shard.exclusive) {
+    return ChargePoint{shard, now_ns / bucket_ns_};
+  }
+  Pending& p = pending_[shard.index];
+  // One unsigned compare covers both ends of [epoch_start, + bucket_ns).
+  if (now_ns - p.epoch_start >= bucket_ns_) {
+    p.cached_epoch = now_ns / bucket_ns_;
+    p.epoch_start = p.cached_epoch * bucket_ns_;
+  }
+  return ChargePoint{shard, p.cached_epoch};
+}
+
+void BandwidthLedger::Charge(const ChargePoint& at, const AccessDescriptor& d, uint8_t tenant) {
+  Pending& p = pending_[at.shard.index];
+  if (p.epoch.load(std::memory_order_relaxed) != at.epoch) {
     Publish(&p);
-    p.epoch.store(epoch, std::memory_order_relaxed);
+    p.epoch.store(at.epoch, std::memory_order_relaxed);
   }
   if (d.op == AccessOp::kRead) {
-    p.read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+    ShardAdd(p.charged[kRead], d.bytes, at.shard);
   } else {
-    p.write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+    ShardAdd(p.charged[kWrite], d.bytes, at.shard);
     if (d.non_temporal) {
-      p.nt_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+      ShardAdd(p.charged[kNonTemporal], d.bytes, at.shard);
     }
   }
-  p.tenant_bytes[tenant % kMaxTenants].fetch_add(d.bytes, std::memory_order_relaxed);
+  ShardAdd(p.charged[kTenant0 + tenant % kMaxTenants], d.bytes, at.shard);
+  // Release: a publisher that reads this count (acquire) sees the bytes.
   const uint64_t charges = p.charges.load(std::memory_order_relaxed) + 1;
-  p.charges.store(charges, std::memory_order_relaxed);
+  p.charges.store(charges, std::memory_order_release);
   if (charges >= kPublishEvery) {
     Publish(&p);
   }
 }
 
 void BandwidthLedger::Publish(Pending* p) const {
-  if (p->charges.load(std::memory_order_relaxed) == 0 ||
-      p->charges.exchange(0, std::memory_order_relaxed) == 0) {
+  if (p->charges.load(std::memory_order_relaxed) == 0) {
     return;
   }
-  // Claim the bucket even for zero-byte charges, as a direct charge would.
-  Bucket* b = BucketFor(p->epoch.load(std::memory_order_relaxed));
-  auto move = [](std::atomic<uint64_t>& from, std::atomic<uint64_t>& to) {
-    if (const uint64_t bytes = from.exchange(0, std::memory_order_relaxed); bytes != 0) {
-      to.fetch_add(bytes, std::memory_order_relaxed);
-    }
-  };
-  move(p->read_bytes, b->read_bytes);
-  move(p->write_bytes, b->write_bytes);
-  move(p->nt_bytes, b->nt_bytes);
-  for (uint32_t t = 0; t < kMaxTenants; ++t) {
-    move(p->tenant_bytes[t], b->tenant_bytes[t]);
+  while (p->publishing.exchange(true, std::memory_order_acquire)) {
+    std::this_thread::yield();  // Another thread is settling this shard.
   }
+  if (p->charges.exchange(0, std::memory_order_acquire) != 0) {
+    // Claim the bucket even for zero-byte charges, as a direct charge would.
+    Bucket* b = BucketFor(p->epoch.load(std::memory_order_relaxed));
+    for (uint32_t c = 0; c < kCounters; ++c) {
+      const uint64_t charged = p->charged[c].load(std::memory_order_relaxed);
+      const uint64_t published = p->published[c].load(std::memory_order_relaxed);
+      if (charged != published) {
+        b->bytes[c].fetch_add(charged - published, std::memory_order_relaxed);
+        // Release: a sampler that loads this (acquire) then reads `charged`
+        // at least as large, so its pending difference never underflows.
+        p->published[c].store(charged, std::memory_order_release);
+      }
+    }
+    // After the bytes: a sampler that sees this generation sees them too.
+    generation_.fetch_add(1, std::memory_order_release);
+  }
+  p->publishing.store(false, std::memory_order_release);
 }
 
 void BandwidthLedger::Settle() const {
   for (Pending& p : pending_) {
-    Publish(&p);
+    if (p.charges.load(std::memory_order_relaxed) != 0) {
+      Publish(&p);
+    }
   }
-}
-
-const BandwidthLedger::Pending* BandwidthLedger::OwnPending() const {
-  const Pending& p = pending_[ThisThreadDeviceShard()];
-  return p.charges.load(std::memory_order_relaxed) == 0 ? nullptr : &p;
 }
 
 const BandwidthLedger::Bucket* BandwidthLedger::WindowSlot(uint64_t epoch, uint64_t own_epoch,
@@ -100,24 +114,20 @@ const BandwidthLedger::Bucket* BandwidthLedger::WindowSlot(uint64_t epoch, uint6
   return b.epoch.load(std::memory_order_relaxed) == epoch ? &b : nullptr;
 }
 
-BandwidthLedger::TenantOccupancy BandwidthLedger::SampleTenantOccupancy(
-    uint64_t now_ns, uint8_t tenant, int window_buckets) const {
-  const uint64_t current = now_ns / bucket_ns_;
-  const Pending* own = OwnPending();
-  const uint64_t own_epoch = own != nullptr ? own->epoch.load(std::memory_order_relaxed) : kNoEpoch;
+BandwidthLedger::TenantOccupancy BandwidthLedger::SampleTenantOccupancy(const ChargePoint& at,
+                                                                        uint8_t tenant) const {
+  const Pending& own = pending_[at.shard.index];
+  const uint64_t own_epoch = PendingEpoch(own);
   uint64_t per_tenant[kMaxTenants] = {};
-  for (int i = 0; i < window_buckets; ++i) {
-    if (current < static_cast<uint64_t>(i)) {
-      break;
-    }
+  for (uint64_t i = 0; i < kWindowBuckets && i <= at.epoch; ++i) {
     bool add_own = false;
-    const Bucket* b = WindowSlot(current - static_cast<uint64_t>(i), own_epoch, &add_own);
+    const Bucket* b = WindowSlot(at.epoch - i, own_epoch, &add_own);
     for (uint32_t t = 0; t < kMaxTenants; ++t) {
       if (b != nullptr) {
-        per_tenant[t] += b->tenant_bytes[t].load(std::memory_order_relaxed);
+        per_tenant[t] += b->bytes[kTenant0 + t].load(std::memory_order_relaxed);
       }
       if (add_own) {
-        per_tenant[t] += own->tenant_bytes[t].load(std::memory_order_relaxed);
+        per_tenant[t] += PendingBytes(own, kTenant0 + t);
       }
     }
   }
@@ -147,44 +157,43 @@ bool BandwidthLedger::ReadBucket(uint64_t epoch, BucketSample* out) const {
   if (b.epoch.load(std::memory_order_relaxed) != epoch) {
     return false;
   }
-  out->read_bytes = b.read_bytes.load(std::memory_order_relaxed);
-  out->write_bytes = b.write_bytes.load(std::memory_order_relaxed);
-  out->nt_bytes = b.nt_bytes.load(std::memory_order_relaxed);
+  out->read_bytes = b.bytes[kRead].load(std::memory_order_relaxed);
+  out->write_bytes = b.bytes[kWrite].load(std::memory_order_relaxed);
+  out->nt_bytes = b.bytes[kNonTemporal].load(std::memory_order_relaxed);
   return true;
 }
 
-BandwidthLedger::Mix BandwidthLedger::SampleMix(uint64_t now_ns, int window_buckets) const {
-  const uint64_t current = now_ns / bucket_ns_;
-  const Pending* own = OwnPending();
-  const uint64_t own_epoch = own != nullptr ? own->epoch.load(std::memory_order_relaxed) : kNoEpoch;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t nt = 0;
-  for (int i = 0; i < window_buckets; ++i) {
-    if (current < static_cast<uint64_t>(i)) {
-      break;
-    }
+BandwidthLedger::WindowBytes BandwidthLedger::PublishedWindow(uint64_t epoch,
+                                                              uint64_t own_epoch) const {
+  WindowBytes sum;
+  for (uint64_t i = 0; i < kWindowBuckets && i <= epoch; ++i) {
     bool add_own = false;
-    const Bucket* b = WindowSlot(current - static_cast<uint64_t>(i), own_epoch, &add_own);
-    if (b != nullptr) {
-      reads += b->read_bytes.load(std::memory_order_relaxed);
-      writes += b->write_bytes.load(std::memory_order_relaxed);
-      nt += b->nt_bytes.load(std::memory_order_relaxed);
-    }
-    if (add_own) {
-      reads += own->read_bytes.load(std::memory_order_relaxed);
-      writes += own->write_bytes.load(std::memory_order_relaxed);
-      nt += own->nt_bytes.load(std::memory_order_relaxed);
+    if (const Bucket* b = WindowSlot(epoch - i, own_epoch, &add_own)) {
+      sum.reads += b->bytes[kRead].load(std::memory_order_relaxed);
+      sum.writes += b->bytes[kWrite].load(std::memory_order_relaxed);
+      sum.nt += b->bytes[kNonTemporal].load(std::memory_order_relaxed);
     }
   }
-  Mix mix;
-  const uint64_t total = reads + writes;
-  mix.window_bytes = total;
-  if (total > 0) {
-    mix.write_fraction = static_cast<double>(writes) / static_cast<double>(total);
-    mix.nt_write_fraction = static_cast<double>(nt) / static_cast<double>(total);
+  return sum;
+}
+
+BandwidthLedger::WindowBytes BandwidthLedger::PublishedWindow(const ChargePoint& at,
+                                                              uint64_t own_epoch) const {
+  if (!at.shard.exclusive) {
+    return PublishedWindow(at.epoch, own_epoch);
   }
-  return mix;
+  Pending& own = pending_[at.shard.index];
+  // Read the generation before the ring: a publish this sampler misses
+  // bumps it afterwards and so invalidates the cached window.
+  const uint64_t generation = generation_.load(std::memory_order_acquire);
+  if (own.window_epoch != at.epoch || own.window_own_epoch != own_epoch ||
+      own.window_generation != generation) {
+    own.window = PublishedWindow(at.epoch, own_epoch);
+    own.window_epoch = at.epoch;
+    own.window_own_epoch = own_epoch;
+    own.window_generation = generation;
+  }
+  return own.window;
 }
 
 BandwidthRecorder::BandwidthRecorder(uint64_t bucket_ns, size_t max_buckets)

@@ -23,8 +23,8 @@ struct BandwidthSample {
 
 // Thread-safe ring of time buckets. Charges are attributed to the bucket that
 // contains the accessing thread's simulated time; the mix estimate aggregates
-// the most recent buckets. All counters are relaxed atomics: the ledger feeds
-// a statistical model, not a correctness invariant.
+// the most recent kWindowBuckets buckets. All counters are relaxed atomics:
+// the ledger feeds a statistical model, not a correctness invariant.
 //
 // Charges first land in the charging thread's pending accumulator (one
 // cache-line-aligned accumulator per device shard, see device_shard.h) and
@@ -32,7 +32,19 @@ struct BandwidthSample {
 // every kPublishEvery charges, and at Settle(). Samplers add the calling
 // thread's own pending bytes, so a single thread sees exactly what it would
 // see if every charge went straight to its bucket; other threads' bytes lag
-// by at most kPublishEvery - 1 charges until the next settle point.
+// by at most kPublishEvery - 1 charges until the next settle point. An
+// accumulator counts everything its shard charged and everything published
+// from it; only chargers write the first and only a publisher the second, so
+// under an exclusive lease a charge makes no atomic RMW.
+//
+// The per-access entry points take a ChargePoint, which MemoryDevice::Access
+// computes once per access. An exclusively leased accumulator also holds two
+// owner-only caches: the epoch of the last simulated time it saw, as a
+// [start, start + bucket_ns) range, so the 64-bit division runs only when the
+// epoch changes; and the published part of its last sampled window, keyed by
+// (window epoch, own pending epoch, publish generation). Every publish, by any
+// thread, bumps the generation after moving its bytes, so a cached window is
+// exactly what a fresh read of the ring would return.
 class BandwidthLedger {
  public:
   // Tenants a shared device can attribute traffic to. Single-Vm devices only
@@ -40,6 +52,8 @@ class BandwidthLedger {
   static constexpr uint32_t kMaxTenants = 8;
   // Charges a thread accumulates before publishing them to the shared bucket.
   static constexpr uint32_t kPublishEvery = 64;
+  // Buckets a sampler aggregates: the current one and the two before it.
+  static constexpr uint64_t kWindowBuckets = 3;
 
   // `bucket_ns` is the bucket width in simulated nanoseconds. The defaults
   // (150 us buckets, 3-bucket sampling window) make the mix estimate adapt
@@ -47,16 +61,30 @@ class BandwidthLedger {
   // write-only phase separation the write cache creates.
   explicit BandwidthLedger(uint64_t bucket_ns = 150'000);
 
-  void Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant = 0);
+  // Where one access lands: the charging thread's shard and the epoch
+  // (== time_ns / bucket_ns()) of its simulated time.
+  struct ChargePoint {
+    DeviceShardRef shard;
+    uint64_t epoch = 0;
+  };
+  ChargePoint PointFor(uint64_t now_ns) const;
+
+  void Charge(const ChargePoint& at, const AccessDescriptor& d, uint8_t tenant);
+  void Charge(uint64_t now_ns, const AccessDescriptor& d, uint8_t tenant = 0) {
+    Charge(PointFor(now_ns), d, tenant);
+  }
 
   struct Mix {
     double write_fraction = 0.0;
     double nt_write_fraction = 0.0;
     uint64_t window_bytes = 0;
   };
-  // Mix over the last `window_buckets` buckets ending at `now_ns`, including
-  // the calling thread's unpublished charges.
-  Mix SampleMix(uint64_t now_ns, int window_buckets = 3) const;
+  // Mix over the window ending at the point's epoch, including the calling
+  // thread's unpublished charges. Defined inline below: it runs on every
+  // access, and a call returning Mix through memory stalls the cost
+  // arithmetic on a failed store-to-load forward.
+  Mix SampleMix(const ChargePoint& at) const;
+  Mix SampleMix(uint64_t now_ns) const { return SampleMix(PointFor(now_ns)); }
 
   // One epoch's raw byte counters, readable while the epoch is still resident
   // in the ring (the ring spans kRingSize * bucket_ns() of simulated time).
@@ -88,10 +116,12 @@ class BandwidthLedger {
       return static_cast<double>(own_bytes) / static_cast<double>(total_bytes);
     }
   };
-  // Per-tenant occupancy over the last `window_buckets` buckets at `now_ns`,
+  // Per-tenant occupancy over the window ending at the point's epoch,
   // including the calling thread's unpublished charges.
-  TenantOccupancy SampleTenantOccupancy(uint64_t now_ns, uint8_t tenant,
-                                        int window_buckets = 3) const;
+  TenantOccupancy SampleTenantOccupancy(const ChargePoint& at, uint8_t tenant) const;
+  TenantOccupancy SampleTenantOccupancy(uint64_t now_ns, uint8_t tenant) const {
+    return SampleTenantOccupancy(PointFor(now_ns), tenant);
+  }
 
   // Publishes every thread's pending charges into the shared buckets. Called
   // at the end of each parallel GC phase, at the start of a collection, and
@@ -104,29 +134,18 @@ class BandwidthLedger {
   static constexpr int ring_size() { return kRingSize; }
 
  private:
+  // Byte counters of a bucket or an accumulator, indexed by Counter: by
+  // direction, and split by tenant (shared devices; single-Vm traffic all
+  // lands in tenant 0). Kept as two splits rather than a tenant x direction
+  // matrix: the contention model needs occupancy, the mix model needs
+  // direction, and no consumer needs both at once.
+  enum Counter : uint32_t { kRead, kWrite, kNonTemporal, kTenant0 };
+  static constexpr uint32_t kCounters = kTenant0 + kMaxTenants;
+  using Counters = std::atomic<uint64_t>[kCounters];
+
   struct Bucket {
     std::atomic<uint64_t> epoch{UINT64_MAX};
-    std::atomic<uint64_t> read_bytes{0};
-    std::atomic<uint64_t> write_bytes{0};
-    std::atomic<uint64_t> nt_bytes{0};
-    // Byte totals split by tenant (shared devices; single-Vm traffic all
-    // lands in slot 0). Kept alongside the direction split rather than as a
-    // tenant x direction matrix: the contention model needs occupancy, the
-    // mix model needs direction, and no consumer needs both at once.
-    std::atomic<uint64_t> tenant_bytes[kMaxTenants] = {};
-  };
-
-  // One shard's charges not yet published to `epoch`'s bucket.
-  struct alignas(kShardAlign) Pending {
-    std::atomic<uint64_t> epoch{kNoEpoch};
-    // Charges since the last publish. Only a publish-timing hint, so the
-    // owner bumps it with a plain load/store; it is nonzero whenever bytes
-    // are pending.
-    std::atomic<uint64_t> charges{0};
-    std::atomic<uint64_t> read_bytes{0};
-    std::atomic<uint64_t> write_bytes{0};
-    std::atomic<uint64_t> nt_bytes{0};
-    std::atomic<uint64_t> tenant_bytes[kMaxTenants] = {};
+    Counters bytes = {};
   };
 
   static constexpr int kRingSize = 64;
@@ -134,11 +153,59 @@ class BandwidthLedger {
   // Epoch value of a slot while one thread resets it for a new epoch.
   static constexpr uint64_t kClaiming = UINT64_MAX - 1;
 
+  // Direction byte sums over a window.
+  struct WindowBytes {
+    uint64_t reads = 0;
+    uint64_t writes = 0;
+    uint64_t nt = 0;
+  };
+
+  // One shard's charges: `charged` counts every byte the shard charged and
+  // `published` the part already moved into buckets, so the difference is
+  // pending for `epoch`'s bucket. Only the shard's chargers add to `charged`
+  // (ShardAdd: no RMW under an exclusive lease); only a publisher holding
+  // `publishing` advances `published`. A settle racing a charge therefore
+  // cannot lose the charge's bytes: it publishes them now or leaves them
+  // pending.
+  struct alignas(kShardAlign) Pending {
+    std::atomic<uint64_t> epoch{kNoEpoch};
+    // Charges since the last publish. Only a publish-timing hint, so the
+    // owner bumps it with a plain load/store; it is nonzero whenever bytes
+    // are pending, and its store (release) follows the charge's bytes.
+    std::atomic<uint64_t> charges{0};
+    Counters charged = {};
+    Counters published = {};
+    std::atomic<bool> publishing{false};
+
+    // Owner-only caches, used only under an exclusive lease. Time
+    // [epoch_start, epoch_start + bucket_ns) lies in epoch `cached_epoch`.
+    uint64_t epoch_start = 0;
+    uint64_t cached_epoch = 0;
+    // The published part of the window ending at `window_epoch` while this
+    // accumulator's pending epoch was `window_own_epoch`, read at publish
+    // generation `window_generation`.
+    uint64_t window_epoch = kNoEpoch;
+    uint64_t window_own_epoch = kNoEpoch;
+    uint64_t window_generation = 0;
+    WindowBytes window;
+  };
+
   Bucket* BucketFor(uint64_t epoch) const;
   void Publish(Pending* p) const;
-  // The calling thread's accumulator, or nullptr when it holds no charges
+  // The epoch `p` holds pending charges for, or kNoEpoch when it holds none
   // (everything it charged is published, and its bucket claimed).
-  const Pending* OwnPending() const;
+  static uint64_t PendingEpoch(const Pending& p) {
+    return p.charges.load(std::memory_order_relaxed) == 0
+               ? kNoEpoch
+               : p.epoch.load(std::memory_order_relaxed);
+  }
+  // `p`'s pending bytes of counter `c`. `published` is loaded first: the
+  // acquire orders the `charged` load after the publisher's read of it, so
+  // the difference never underflows.
+  static uint64_t PendingBytes(const Pending& p, uint32_t c) {
+    const uint64_t published = p.published[c].load(std::memory_order_acquire);
+    return p.charged[c].load(std::memory_order_relaxed) - published;
+  }
   // What a sampler sees of `epoch`: the published bucket (nullptr if the slot
   // holds another epoch) plus, when *add_own, the pending charges of the
   // caller's accumulator, whose epoch is `own_epoch` (kNoEpoch if none).
@@ -146,11 +213,40 @@ class BandwidthLedger {
   // hold, including its slot reuse: pending charges for an aliasing epoch
   // would have reclaimed the slot, so `epoch` then reads as empty.
   const Bucket* WindowSlot(uint64_t epoch, uint64_t own_epoch, bool* add_own) const;
+  // The published direction bytes of the window ending at `epoch`, as seen
+  // by a sampler whose pending epoch is `own_epoch`.
+  WindowBytes PublishedWindow(uint64_t epoch, uint64_t own_epoch) const;
+  // The same for a sampler at `at`, through its accumulator's window cache
+  // when it holds the shard exclusively.
+  WindowBytes PublishedWindow(const ChargePoint& at, uint64_t own_epoch) const;
 
   uint64_t bucket_ns_;
   mutable Bucket ring_[kRingSize];
   mutable Pending pending_[kDeviceShards];
+  // Publishes so far; bumped (release) after each publish moves its bytes.
+  alignas(kShardAlign) mutable std::atomic<uint64_t> generation_{0};
 };
+
+inline BandwidthLedger::Mix BandwidthLedger::SampleMix(const ChargePoint& at) const {
+  const Pending& own = pending_[at.shard.index];
+  const uint64_t own_epoch = PendingEpoch(own);
+  WindowBytes sum = PublishedWindow(at, own_epoch);
+  if (own_epoch <= at.epoch && at.epoch - own_epoch < kWindowBuckets) {
+    sum.reads += PendingBytes(own, kRead);
+    sum.writes += PendingBytes(own, kWrite);
+    sum.nt += PendingBytes(own, kNonTemporal);
+  }
+  Mix mix;
+  const uint64_t total = sum.reads + sum.writes;
+  mix.window_bytes = total;
+  if (total > 0) {
+    mix.write_fraction = static_cast<double>(sum.writes) / static_cast<double>(total);
+    if (sum.nt != 0) {  // Else 0.0 already, exactly what the division gives.
+      mix.nt_write_fraction = static_cast<double>(sum.nt) / static_cast<double>(total);
+    }
+  }
+  return mix;
+}
 
 // Fixed-capacity, lock-free recorder: buckets cover simulated time from
 // Start() onward. Used to produce the paper's bandwidth time-series plots

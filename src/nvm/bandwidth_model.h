@@ -30,10 +30,29 @@ struct MixState {
 
 class BandwidthModel {
  public:
-  explicit BandwidthModel(const DeviceProfile& profile) : profile_(profile) {}
+  // Thread counts below this read their ceiling terms from tables built at
+  // construction; larger counts evaluate the same formula directly.
+  static constexpr uint32_t kThreadTableSize = 64;
+
+  explicit BandwidthModel(const DeviceProfile& profile);
 
   // Total sustainable bandwidth (MB/s) for the given mix.
   double TotalBandwidthMbps(const MixState& mix) const;
+
+  // Nanoseconds charged for access `d` at `mix` when the accessing tenant may
+  // claim `tenant_share` of the device (1.0 on an unshared device): the
+  // latency term plus d.bytes over this thread's bandwidth share,
+  //   TotalBandwidthMbps(mix) / active_threads * PatternFraction * tenant_share
+  // floored at 1 MB/s, rounded to the nearest ns.
+  //
+  // With tenant_share == 1.0 the cost is first taken in reciprocal form
+  // (bytes times microseconds per byte), which needs four divisions fewer.
+  // That differs from the quotient by a few ulps, which can move the rounded
+  // result only when the sum lies within that much of a rounding boundary;
+  // there, and for any other tenant_share, the quotient is evaluated, so the
+  // result always equals the quotient form's.
+  uint64_t AccessCostNs(const MixState& mix, const AccessDescriptor& d,
+                        double tenant_share) const;
 
   // Read-direction ceiling at `threads` concurrent readers (MB/s).
   double ReadCeilingMbps(uint32_t threads) const;
@@ -65,10 +84,30 @@ class BandwidthModel {
   const DeviceProfile& profile() const { return profile_; }
 
  private:
-  // Interference multiplier (0,1] for the given write mix.
-  double MixInterference(double write_fraction, double nt_write_fraction) const;
+  // 1 + mix_interference * m^2 for the given write mix: the reciprocal of the
+  // interference multiplier (0,1] that TotalBandwidthMbps applies.
+  double MixSlowdown(double write_fraction, double nt_write_fraction) const;
+  // The ceilings' thread terms: ramp to the knee, then (writes) decline.
+  double ReadRamp(uint32_t threads) const;
+  double WriteRamp(uint32_t threads) const;
+  double WriteDecline(uint32_t threads) const;
+  // Harmonic time per byte (1 / MB/s) of a w-write mix at `threads`.
+  double PerByte(double w, double nt_write_fraction, uint32_t threads) const;
+  // Microseconds per byte at an unshared thread's share: the reciprocal of
+  // the share AccessCostNs divides by, capped at 1 us (the 1 MB/s floor).
+  double UsPerByte(const MixState& mix, AccessOp op, AccessPattern pattern) const;
+  // The latency term of AccessCostNs.
+  double LatencyNs(const AccessDescriptor& d) const;
 
   DeviceProfile profile_;
+  // Indexed by thread count: ReadCeilingMbps, WriteRamp and WriteDecline.
+  double read_ceiling_[kThreadTableSize];
+  double write_ramp_[kThreadTableSize];
+  double write_decline_[kThreadTableSize];
+  // 1 / PatternFraction, indexed by [op][pattern].
+  double inverse_pattern_[2][2];
+  // Random-access latency, indexed by [op][prefetched].
+  double random_latency_ns_[2][2];
 };
 
 }  // namespace nvmgc

@@ -9,45 +9,47 @@ namespace {
 
 static_assert(kDeviceShards == 32, "the lease bitmap is one uint32_t");
 
-std::atomic<uint32_t> g_leased{0};      // Bit i set: shard i leased exclusively.
-std::atomic<uint32_t> g_overflow{0};    // Round-robin cursor for shared shards.
+// The shard every thread beyond the exclusive leases shares.
+constexpr uint32_t kSharedShard = kDeviceShards - 1;
+constexpr uint32_t kAllExclusiveLeased = (1u << kSharedShard) - 1;
+
+std::atomic<uint32_t> g_leased{0};  // Bit i set: shard i leased exclusively.
 
 class ShardLease {
  public:
   ShardLease() {
     uint32_t leased = g_leased.load(std::memory_order_relaxed);
-    while (leased != ~0u) {
+    while (leased != kAllExclusiveLeased) {
       const uint32_t bit = static_cast<uint32_t>(std::countr_one(leased));
       if (g_leased.compare_exchange_weak(leased, leased | (1u << bit),
+                                         std::memory_order_acquire,
                                          std::memory_order_relaxed)) {
-        index_ = bit;
-        owned_ = true;
+        ref_ = DeviceShardRef{bit, true};
         return;
       }
     }
-    index_ = g_overflow.fetch_add(1, std::memory_order_relaxed) % kDeviceShards;
+    ref_ = DeviceShardRef{kSharedShard, false};
   }
   ~ShardLease() {
-    if (owned_) {
-      g_leased.fetch_and(~(1u << index_), std::memory_order_relaxed);
+    if (ref_.exclusive) {
+      g_leased.fetch_and(~(1u << ref_.index), std::memory_order_release);
     }
   }
 
   ShardLease(const ShardLease&) = delete;
   ShardLease& operator=(const ShardLease&) = delete;
 
-  uint32_t index() const { return index_; }
+  DeviceShardRef ref() const { return ref_; }
 
  private:
-  uint32_t index_ = 0;
-  bool owned_ = false;
+  DeviceShardRef ref_;
 };
 
 }  // namespace
 
-uint32_t ThisThreadDeviceShard() {
+DeviceShardRef ThisThreadDeviceShard() {
   thread_local const ShardLease lease;
-  return lease.index();
+  return lease.ref();
 }
 
 }  // namespace nvmgc

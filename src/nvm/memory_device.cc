@@ -1,8 +1,5 @@
 #include "src/nvm/memory_device.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/nvm/fault_injector.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
@@ -56,59 +53,43 @@ DeviceCounters MemoryDevice::tenant_counters(uint8_t tenant) const {
 }
 
 uint64_t MemoryDevice::CostNs(uint64_t now_ns, const AccessDescriptor& d) const {
-  const DeviceProfile& p = model_.profile();
+  return Cost(ledger_.PointFor(now_ns), TenantFor(d.address), d);
+}
 
-  // Latency term.
-  double latency_ns = 0.0;
-  if (d.pattern == AccessPattern::kRandom) {
-    latency_ns = d.op == AccessOp::kRead ? static_cast<double>(p.random_read_latency_ns)
-                                         : static_cast<double>(p.random_write_latency_ns);
-    if (d.prefetched) {
-      latency_ns *= 1.0 - p.prefetch_hide_fraction;
-    }
-  } else {
-    const uint32_t lines = (d.bytes + 63) / 64;
-    latency_ns = p.sequential_line_ns * static_cast<double>(lines);
-  }
-
-  // Bandwidth term: bytes over this thread's share of the device total.
-  const BandwidthLedger::Mix window = ledger_.SampleMix(now_ns);
+uint64_t MemoryDevice::Cost(const BandwidthLedger::ChargePoint& at, uint8_t tenant,
+                            const AccessDescriptor& d) const {
+  const BandwidthLedger::Mix window = ledger_.SampleMix(at);
   MixState mix;
   mix.write_fraction = window.write_fraction;
   mix.nt_write_fraction = window.nt_write_fraction;
   mix.active_threads = active_threads();
-  const double total_mbps = model_.TotalBandwidthMbps(mix);
-  double share_mbps = total_mbps / static_cast<double>(mix.active_threads) *
-                      model_.PatternFraction(d.op, d.pattern);
+  double tenant_share = 1.0;
   if (multi_tenant_.load(std::memory_order_relaxed)) {
     // Shared device: scale this tenant's share by its occupancy-derived
     // fraction of the device (plus the cross-tenant interleaving penalty).
     // Devices with zero or one bound tenant never reach this branch, so the
     // single-Vm cost function is bit-identical to the pre-fleet model.
-    const uint8_t tenant = TenantFor(d.address);
-    const BandwidthLedger::TenantOccupancy occ = ledger_.SampleTenantOccupancy(now_ns, tenant);
-    share_mbps *= model_.TenantShareFraction(occ.own_fraction(), occ.active_tenants);
+    const BandwidthLedger::TenantOccupancy occ = ledger_.SampleTenantOccupancy(at, tenant);
+    tenant_share = model_.TenantShareFraction(occ.own_fraction(), occ.active_tenants);
   }
-  share_mbps = std::max(1.0, share_mbps);
-  // 1 MB/s == 1e6 bytes / 1e9 ns, so ns = bytes * 1000 / MBps.
-  const double bw_ns = static_cast<double>(d.bytes) * 1000.0 / share_mbps;
-
-  return static_cast<uint64_t>(latency_ns + bw_ns + 0.5);
+  return model_.AccessCostNs(mix, d, tenant_share);
 }
 
 uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
   NVMGC_DCHECK(clock != nullptr);
   const uint64_t now = clock->now_ns();
-  uint64_t cost = CostNs(now, d);
+  // One shard lookup, one epoch and one tenant per access, shared by the
+  // cost, the ledger, the heatmap and the counters.
+  const BandwidthLedger::ChargePoint at = ledger_.PointFor(now);
+  const uint8_t tenant = TenantFor(d.address);
+  uint64_t cost = Cost(at, tenant, d);
   if (FaultInjector* injector = injector_.load(std::memory_order_acquire)) {
     cost = injector->PerturbCost(now, d, cost);
   }
   clock->Advance(cost);
 
-  const uint8_t tenant =
-      tenant_range_count_.load(std::memory_order_relaxed) > 0 ? TenantFor(d.address) : 0;
-  ledger_.Charge(now, d, tenant);
-  heatmap_.Charge(d);
+  ledger_.Charge(at, d, tenant);
+  heatmap_.Charge(d, at.shard);
   if (d.op == AccessOp::kWrite && persist_.enabled()) {
     persist_.NoteWrite(d.address, d.bytes);
   }
@@ -116,15 +97,15 @@ uint64_t MemoryDevice::Access(SimClock* clock, const AccessDescriptor& d) {
     recorder_->Charge(now, d);
   }
 
-  TenantCounters& tc = shards_[ThisThreadDeviceShard()].tenants[tenant];
+  TenantCounters& tc = shards_[at.shard.index].tenants[tenant];
   if (d.op == AccessOp::kRead) {
-    tc.read_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    tc.read_ops.fetch_add(1, std::memory_order_relaxed);
+    ShardAdd(tc.read_bytes, d.bytes, at.shard);
+    ShardAdd(tc.read_ops, 1, at.shard);
   } else {
-    tc.write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
-    tc.write_ops.fetch_add(1, std::memory_order_relaxed);
+    ShardAdd(tc.write_bytes, d.bytes, at.shard);
+    ShardAdd(tc.write_ops, 1, at.shard);
     if (d.non_temporal) {
-      tc.nt_write_bytes.fetch_add(d.bytes, std::memory_order_relaxed);
+      ShardAdd(tc.nt_write_bytes, d.bytes, at.shard);
     }
   }
   return cost;

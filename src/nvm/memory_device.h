@@ -141,6 +141,10 @@ class MemoryDevice {
   DeviceKind kind() const { return model_.profile().kind; }
 
  private:
+  // CostNs at a charge point, for an access attributed to `tenant`.
+  uint64_t Cost(const BandwidthLedger::ChargePoint& at, uint8_t tenant,
+                const AccessDescriptor& d) const;
+
   // One bound tenant address range. A fixed array + atomic count keeps
   // TenantFor lock-free for the access hot path.
   struct TenantRange {
